@@ -265,13 +265,10 @@ fn job_body(
         if let Some(w) = work {
             cmd.arg(w.to_string());
         }
-        // Children must not inherit the farm's own crash hook or try to
-        // bind the farm's live endpoint address.
+        // Children must not inherit the farm's own crash hook.
         cmd.env("RF_RESULTS_DIR", &results)
             .env("RF_RUN_NAME", &ctx.id)
-            .env_remove("RF_FARM_CRASH_AT")
-            .env_remove("RF_OBS_ADDR")
-            .env_remove("RF_OBS_ADDR_FILE");
+            .env_remove("RF_FARM_CRASH_AT");
         if force_fail {
             cmd.env("RF_CHECK", "1").env("RF_CHECK_FAIL_TRIAL", "0");
         }

@@ -5,8 +5,7 @@
 //! ```text
 //! fleet_forecast [NODES] [--epochs=N] [--shards=N] [--seed=N]
 //!                [--threads=N] [--ckpt-dir=PATH] [--resume]
-//!                [--query=NODES,NODES,...]
-//!                [--serve-obs=ADDR] [--profile] [--linger-ms=N]
+//!                [--query=NODES,NODES,...] [--profile]
 //! ```
 //!
 //! `NODES` (positional, default 1,000,000) sizes the simulated fleet.
@@ -19,12 +18,13 @@
 //! All flags take `=`-values: the shared bench arg parser treats a bare
 //! numeric argument as the positional work amount.
 //!
-//! The live-plane flags are shared harness flags (see
-//! `relaxfault_bench::obs_init`): `--serve-obs` answers `/health`,
-//! `/metrics`, `/progress` (epoch/shard progress, checkpoint lineage, and
-//! the forecast for each `--query` size, refreshed every boundary), and
-//! `/flight` while the run executes; `--profile` writes folded stacks at
-//! exit; `--linger-ms` keeps the endpoint up after the work finishes.
+//! Every epoch boundary atomically rewrites
+//! `<results>/obs/<run>.progress.json` ([`FleetSim::progress_json`]:
+//! epoch/shard progress, checkpoint lineage, and the forecast for each
+//! `--query` size), so a run can be followed from disk while it executes;
+//! `--quiet`/`RF_OBS=off` skip it like every other obs artifact.
+//! `--profile` is the shared harness flag (see
+//! `relaxfault_bench::obs_init`) that writes folded stacks at exit.
 //!
 //! Exit codes: 0 success, 1 usage error, 4 the run died (simulated crash
 //! or checkpoint failure) — a crash dump with the newest durable
@@ -37,6 +37,7 @@ use relaxfault_relsim::scenario::{Mechanism, Scenario};
 use relaxfault_util::crashdump::CrashDump;
 use relaxfault_util::json::Value;
 use relaxfault_util::table::Table;
+use relaxfault_util::{obs, persist};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -104,6 +105,23 @@ fn newest_checkpoint_doc(dir: &Path) -> Option<Value> {
     Value::parse(&text).ok()
 }
 
+/// Rewrites `<results>/obs/<run>.progress.json` with the current
+/// [`FleetSim::progress_json`]. Skipped when obs is forced off, the same
+/// rule the crash-dump hook follows; a failed write is reported, never
+/// fatal.
+fn write_progress(sim: &FleetSim, queries: &[u64]) {
+    if obs::is_force_off() {
+        return;
+    }
+    let path = Path::new(&obs::results_dir()).join("obs").join(format!(
+        "{}.progress.json",
+        relaxfault_bench::current_run_name()
+    ));
+    if let Err(e) = persist::atomic_write(&path, &sim.progress_json(queries).to_pretty()) {
+        eprintln!("fleet_forecast: progress write failed: {e}");
+    }
+}
+
 /// The standard forecast arms: unprotected baseline, RelaxFault at the
 /// paper's 4-way budget, and PPR.
 fn arms() -> Vec<Scenario> {
@@ -159,9 +177,9 @@ fn main() -> ExitCode {
     };
 
     // Step manually (rather than `run_to_end`) so every epoch boundary
-    // refreshes the `/progress` document and a death can drain the live
-    // plane into a crash dump before the process exits.
-    sim.publish_progress(&args.queries);
+    // refreshes the progress document and a death can leave a crash dump
+    // before the process exits.
+    write_progress(&sim, &args.queries);
     while sim.completed_epochs() < sim.epochs() {
         if let Err(e) = sim.step() {
             eprintln!(
@@ -178,7 +196,7 @@ fn main() -> ExitCode {
             relaxfault_bench::obs_finish();
             return ExitCode::from(4);
         }
-        sim.publish_progress(&args.queries);
+        write_progress(&sim, &args.queries);
     }
 
     println!(

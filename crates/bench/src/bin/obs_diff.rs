@@ -5,15 +5,18 @@
 //! obs_diff --latest-vs-baseline [--threshold 0.2] [--out verdict.json]
 //! ```
 //!
-//! The two-path form diffs explicit snapshot files. The registry form
-//! reads `results/runs/index.json` (honouring `RF_RESULTS_DIR`), takes the
-//! most recent run, and compares it against the committed baseline of the
-//! same run name under `results/baselines/`.
+//! The two-path form diffs explicit snapshot files. The ledger form reads
+//! the perf-history ledger `results/history/ledger.jsonl` (honouring
+//! `RF_RESULTS_DIR`), takes the run of its newest entry, and compares
+//! `results/obs/<run>.json` against the committed baseline
+//! `results/baselines/<run>.json`.
 //!
 //! Exit codes: `0` no regressions, `1` regressions found, `2` usage or
-//! I/O error. See `relaxfault_bench::diff` for the classification rules.
+//! I/O error (including a missing or empty ledger). See
+//! `relaxfault_bench::diff` for the classification rules.
 
 use relaxfault_bench::diff::diff_snapshots;
+use relaxfault_util::history::Ledger;
 use relaxfault_util::json::Value;
 use std::process::ExitCode;
 
@@ -26,38 +29,32 @@ fn results_dir() -> String {
     std::env::var("RF_RESULTS_DIR").unwrap_or_else(|_| "results".into())
 }
 
-/// Resolves the registry form: the newest run in the index as current,
-/// `results/baselines/<run>.json` as its baseline.
+/// Resolves the ledger form: the newest ledgered run's snapshot as
+/// current, `results/baselines/<run>.json` as its baseline.
 fn latest_vs_baseline() -> Result<(String, String), String> {
     let dir = results_dir();
-    let index_path = format!("{dir}/runs/index.json");
-    let index = load(&index_path)?;
-    let runs = index
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or(format!("{index_path} has no runs array"))?;
-    let last = runs.last().ok_or(format!("{index_path} lists no runs"))?;
-    let run = last
-        .get("manifest")
-        .and_then(|m| m.get("run"))
-        .and_then(Value::as_str)
-        .ok_or("latest registry entry has no manifest.run")?;
-    let snapshot = last
-        .get("snapshot")
-        .and_then(Value::as_str)
-        .ok_or("latest registry entry has no snapshot path")?;
-    Ok((format!("{dir}/baselines/{run}.json"), snapshot.to_string()))
+    let path = Ledger::default_path(&dir);
+    let ledger = Ledger::load(&path)?;
+    let run = &ledger
+        .entries
+        .last()
+        .ok_or(format!("no runs ledgered at {}", path.display()))?
+        .run;
+    Ok((
+        format!("{dir}/baselines/{run}.json"),
+        format!("{dir}/obs/{run}.json"),
+    ))
 }
 
 fn run() -> Result<ExitCode, String> {
     let mut paths: Vec<String> = Vec::new();
     let mut threshold = 0.2f64;
     let mut out: Option<String> = None;
-    let mut use_registry = false;
+    let mut use_ledger = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--latest-vs-baseline" => use_registry = true,
+            "--latest-vs-baseline" => use_ledger = true,
             "--threshold" => {
                 threshold = args
                     .next()
@@ -69,7 +66,7 @@ fn run() -> Result<ExitCode, String> {
             path => paths.push(path.to_string()),
         }
     }
-    let (baseline_path, current_path) = if use_registry {
+    let (baseline_path, current_path) = if use_ledger {
         if !paths.is_empty() {
             return Err("--latest-vs-baseline takes no snapshot paths".into());
         }

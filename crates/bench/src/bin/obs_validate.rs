@@ -21,7 +21,8 @@
 //! content digest), end with a newline (a missing one means a truncated
 //! append and fails the file), carry exactly one schema_version across
 //! all lines, and satisfy the `util::history` ledger invariants.
-//! Exits non-zero on any violation.
+//! Prometheus text (`*.prom`) and fleet progress documents
+//! (`*.progress.json`) are skipped. Exits non-zero on any violation.
 
 use relaxfault_farm::{FarmLedger, JobManifest, JobStatus};
 use relaxfault_relsim::fleet::{FleetCheckpoint, FLEET_CHECKPOINT_KIND};
@@ -122,7 +123,7 @@ fn validate_farm_state(doc: &Value) -> Result<u64, String> {
 }
 
 /// Validates one crash dump via the strict deserializer (which checks the
-/// run name, non-empty reason, snapshot sections, flight array, and the
+/// run name, non-empty reason, snapshot sections, trace-event array, and the
 /// shape of any embedded checkpoint), plus: an embedded checkpoint must
 /// itself pass the [`FleetCheckpoint`] deserializer, so `relcheck replay`
 /// is guaranteed to accept anything this gate passed. Returns the dump's
@@ -330,6 +331,9 @@ fn main() {
             .file_name()
             .and_then(|n| n.to_str())
             .unwrap_or_default();
+        if name.ends_with(".progress.json") {
+            continue; // fleet_forecast's status document, not a snapshot
+        }
         let result = if name.ends_with(".trace.json") {
             checked += 1;
             validate_trace(&path)

@@ -16,10 +16,8 @@ use relaxfault_relsim::scenario::{Mechanism, ReplacementPolicy, Scenario};
 use relaxfault_util::export;
 use relaxfault_util::json::Value;
 use relaxfault_util::table::{format_bytes, format_pct, Table};
-use relaxfault_util::{crashdump, history, obs, persist, profiler, serve};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use relaxfault_util::{crashdump, history, obs, persist, profiler};
+use std::sync::OnceLock;
 
 pub mod diff;
 pub mod folded;
@@ -31,13 +29,6 @@ pub const SYSTEM_NODES: u64 = 16_384;
 
 /// `--run NAME` override captured by [`obs_init`], consulted by [`emit`].
 static RUN_OVERRIDE: OnceLock<String> = OnceLock::new();
-
-/// The live endpoint started by [`obs_init`], stopped by [`obs_finish`].
-static SERVER: OnceLock<Mutex<Option<serve::ObsServer>>> = OnceLock::new();
-
-/// How long [`obs_finish`] keeps the endpoint answering after the work is
-/// done (`--linger-ms`; a `/quit` request ends the linger early).
-static LINGER_MS: AtomicU64 = AtomicU64::new(0);
 
 /// Standard harness arguments parsed by [`obs_init`].
 #[derive(Debug, Clone, Default)]
@@ -69,11 +60,6 @@ impl BenchArgs {
 ///   overrides the run name [`emit`] uses for the obs snapshot, trace, and
 ///   Prometheus files — this is how CI writes `drift_a`/`drift_b` from the
 ///   same binary;
-/// * `--serve-obs PORT` (or `--serve-obs=ADDR`, or `RF_OBS_ADDR` in the
-///   environment) starts the live telemetry endpoint of
-///   [`relaxfault_util::serve`] — port `0` binds an OS-assigned port,
-///   printed on stdout and written to `RF_OBS_ADDR_FILE` when set. Serving
-///   implies metrics, so `/metrics` always has content;
 /// * `--profile` (or `RF_PROF=on`) starts the self-sampling span profiler
 ///   at `RF_PROF_HZ` (default 997 Hz); [`obs_finish`] writes the folded
 ///   stacks to `<results>/obs/<run>.folded`;
@@ -82,11 +68,8 @@ impl BenchArgs {
 ///   so history series stay comparable per lane configuration. An invalid
 ///   value, or an override arriving after the mode was already pinned to
 ///   something else, exits with an error;
-/// * `--linger-ms N` keeps the endpoint answering for up to `N` ms after
-///   the work completes (until a client requests `/quit`), so pollers can
-///   read final state — the CI smoke gate relies on this;
 /// * a crash-dump panic hook is installed (unless `--quiet`/`RF_OBS=off`),
-///   so any panic drains the flight recorder and metrics into
+///   so any panic copies the trace rings and metrics into
 ///   `<results>/obs/<run>.crashdump.json`;
 /// * the first positional numeric argument overrides the work amount
 ///   (read it back with [`BenchArgs::work`]);
@@ -95,7 +78,6 @@ impl BenchArgs {
 pub fn obs_init() -> BenchArgs {
     let mut parsed = BenchArgs::default();
     let mut run = None;
-    let mut serve_spec: Option<String> = None;
     let mut lanes_spec: Option<String> = None;
     let mut profile = false;
     let mut args = std::env::args().skip(1);
@@ -106,24 +88,12 @@ pub fn obs_init() -> BenchArgs {
             run = args.next();
         } else if let Some(r) = a.strip_prefix("--run=") {
             run = Some(r.to_string());
-        } else if a == "--serve-obs" {
-            serve_spec = args.next();
-        } else if let Some(s) = a.strip_prefix("--serve-obs=") {
-            serve_spec = Some(s.to_string());
         } else if a == "--profile" {
             profile = true;
         } else if a == "--lanes" {
             lanes_spec = args.next();
         } else if let Some(l) = a.strip_prefix("--lanes=") {
             lanes_spec = Some(l.to_string());
-        } else if a == "--linger-ms" {
-            if let Some(ms) = args.next().and_then(|v| v.parse().ok()) {
-                LINGER_MS.store(ms, Ordering::Relaxed);
-            }
-        } else if let Some(ms) = a.strip_prefix("--linger-ms=") {
-            if let Ok(ms) = ms.parse() {
-                LINGER_MS.store(ms, Ordering::Relaxed);
-            }
         } else if parsed.work.is_none() && !a.starts_with('-') {
             parsed.work = a.parse().ok();
         }
@@ -147,28 +117,6 @@ pub fn obs_init() -> BenchArgs {
             }
             None => {
                 eprintln!("--lanes {spec}: expected scalar, u64, or u128");
-                std::process::exit(1);
-            }
-        }
-    }
-    if serve_spec.is_none() {
-        serve_spec = std::env::var("RF_OBS_ADDR").ok().filter(|s| !s.is_empty());
-    }
-    if let Some(spec) = serve_spec {
-        match serve::ObsServer::start(&spec) {
-            Ok(server) => {
-                // A served run must have something to serve.
-                obs::set_metrics_enabled(true);
-                println!(
-                    "obs server: http://{} (routes: /health /metrics /progress /flight /quit)",
-                    server.addr()
-                );
-                let _ = SERVER.set(Mutex::new(Some(server)));
-            }
-            Err(e) => {
-                // A misbound endpoint means every poller would hang; die
-                // loudly rather than run unobservable.
-                eprintln!("--serve-obs {spec}: cannot bind: {e}");
                 std::process::exit(1);
             }
         }
@@ -212,10 +160,8 @@ pub fn current_run_name() -> String {
 /// Standard harness shutdown, called last in every `fig*`/`table*` main:
 /// appends the run's metrics snapshot to the perf-history ledger
 /// (`<results>/history/ledger.jsonl`), harvests the span profiler into
-/// `<results>/obs/<run>.folded`, keeps the live endpoint answering
-/// through the `--linger-ms` window (a `/quit` request ends it early),
-/// then stops the endpoint. A no-op when neither metrics nor the
-/// profiler nor the endpoint is active.
+/// `<results>/obs/<run>.folded`. A no-op when neither metrics nor the
+/// profiler is active.
 pub fn obs_finish() {
     if obs::metrics_enabled() {
         let run = current_run_name();
@@ -248,16 +194,6 @@ pub fn obs_finish() {
                 Err(e) => eprintln!("profile write failed: {e}"),
             }
         }
-    }
-    let server = SERVER
-        .get()
-        .and_then(|slot| slot.lock().expect("obs server slot").take());
-    if let Some(server) = server {
-        let deadline = Instant::now() + Duration::from_millis(LINGER_MS.load(Ordering::Relaxed));
-        while !server.quit_requested() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        server.stop();
     }
 }
 

@@ -7,6 +7,7 @@
 //! `scripts/ci.sh` builds its gates on.
 
 use relaxfault_bench::diff::{diff_snapshots, Class};
+use relaxfault_util::history;
 use relaxfault_util::json::Value;
 use std::path::PathBuf;
 use std::process::Command;
@@ -197,6 +198,48 @@ fn obs_diff_exit_code_matrix() {
     assert_eq!(
         code(&[a.as_os_str(), dir.join("missing.json").as_os_str()]),
         Some(2)
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// `--latest-vs-baseline` takes its run from the perf-history ledger:
+/// 2 without a ledger, 0 when the newest ledgered run matches its
+/// baseline, 1 once a newer drifted run is ledgered.
+#[test]
+fn latest_vs_baseline_reads_the_ledger() {
+    let dir = std::env::temp_dir().join(format!("rf_diff_ledger_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let results = dir.display().to_string();
+    let write = |sub: &str, run: &str, trials: u64| {
+        std::fs::create_dir_all(dir.join(sub)).expect("scratch dir");
+        let doc = snapshot(run, &[("relsim.trials", trials)], &[]);
+        std::fs::write(dir.join(sub).join(format!("{run}.json")), doc.to_pretty())
+            .expect("write snapshot");
+    };
+    let code = || {
+        Command::new(env!("CARGO_BIN_EXE_obs_diff"))
+            .arg("--latest-vs-baseline")
+            .env("RF_RESULTS_DIR", &dir)
+            .output()
+            .expect("obs_diff runs")
+            .status
+            .code()
+    };
+
+    write("baselines", "pinned", 4000);
+    write("obs", "pinned", 4000);
+    assert_eq!(code(), Some(2), "a missing ledger is an I/O error");
+
+    assert!(history::append_run_snapshot(&results, "pinned").expect("ledger append"));
+    assert_eq!(code(), Some(0), "newest run matches its baseline");
+
+    write("baselines", "drifted", 4000);
+    write("obs", "drifted", 4001);
+    assert!(history::append_run_snapshot(&results, "drifted").expect("ledger append"));
+    assert_eq!(
+        code(),
+        Some(1),
+        "the newest ledgered run is the one compared"
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

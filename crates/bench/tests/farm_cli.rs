@@ -30,8 +30,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// Runs the farm binary over the mini matrix with a hermetic
-/// environment: no inherited crash hooks, result dirs, or live-endpoint
-/// addresses from the outer test runner.
+/// environment: no inherited crash hooks, result dirs, or run names from
+/// the outer test runner.
 fn farm_cmd(dir: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_farm"));
     cmd.arg("run")
@@ -41,8 +41,6 @@ fn farm_cmd(dir: &Path) -> Command {
         .env_remove("RF_FARM_CRASH_AT")
         .env_remove("RF_RESULTS_DIR")
         .env_remove("RF_RUN_NAME")
-        .env_remove("RF_OBS_ADDR")
-        .env_remove("RF_OBS_ADDR_FILE")
         .env_remove("RF_CHECK")
         .env_remove("RF_CHECK_FAIL_TRIAL");
     cmd

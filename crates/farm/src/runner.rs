@@ -28,9 +28,7 @@
 
 use crate::spec::{self, JobSpec};
 use crate::state::{self, FarmLedger, JobManifest, JobRole, JobStatus, LedgerEntry};
-use relaxfault_util::json::Value;
-use relaxfault_util::persist::{self, Persist};
-use relaxfault_util::serve;
+use relaxfault_util::persist::Persist;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
@@ -223,10 +221,6 @@ struct SlotRow {
     spec: JobSpec,
     role: JobRole,
     state: SlotState,
-    /// Display status for `/progress`.
-    shown: &'static str,
-    attempts: u64,
-    repro: Option<String>,
     /// Unfinished dependency count.
     waiting: usize,
     /// Slots that depend on this one.
@@ -305,9 +299,6 @@ impl Farm {
                     } else {
                         SlotState::Pending
                     },
-                    shown: if done { "skipped" } else { "pending" },
-                    attempts: 0,
-                    repro: None,
                     waiting: 0,
                     dependents: Vec::new(),
                     spec: job.spec,
@@ -340,8 +331,6 @@ impl Farm {
             },
             ..FarmReport::default()
         };
-
-        publish(&rows, matrix_digest, "running");
 
         let workers = cfg.workers.max(1);
         let (work_tx, work_rx) = mpsc::channel::<WorkMsg>();
@@ -417,7 +406,6 @@ impl Farm {
                     let id = rows[slot].spec.id.clone();
                     if let Some(CrashPoint::MidJob(cid)) = &cfg.crash_at {
                         if *cid == id {
-                            publish(&rows, matrix_digest, "crashed");
                             return Err(format!(
                                 "simulated crash mid-job {id:?} (RF_FARM_CRASH_AT): side \
                                  effects written, manifest not; resume with --resume"
@@ -439,8 +427,6 @@ impl Farm {
                             ledger.record(entry);
                             ledger.save(&ledger_path)?;
                             row.state = SlotState::Done;
-                            row.shown = "ok";
-                            row.attempts = attempt as u64;
                             pending -= 1;
                             running -= 1;
                             running_cost -= row.spec.cost;
@@ -451,7 +437,6 @@ impl Farm {
                             }
                             if let Some(CrashPoint::Boundary(cid)) = &cfg.crash_at {
                                 if *cid == id {
-                                    publish(&rows, matrix_digest, "crashed");
                                     return Err(format!(
                                         "simulated crash at job boundary {id:?} \
                                          (RF_FARM_CRASH_AT); resume with --resume"
@@ -472,7 +457,6 @@ impl Farm {
                                 rows[slot].spec.retries
                             };
                             if attempt <= retries {
-                                rows[slot].attempts = attempt as u64;
                                 let msg = WorkMsg {
                                     slot,
                                     id,
@@ -506,7 +490,7 @@ impl Farm {
                                     attempt as u64,
                                     Some(reason.clone()),
                                 )
-                                .with_repro(repro_path.clone())
+                                .with_repro(repro_path)
                                 .save(&state::manifest_path(&cfg.dir, &id))?;
                                 ledger.record(LedgerEntry {
                                     id: id.clone(),
@@ -517,9 +501,6 @@ impl Farm {
                                 });
                                 ledger.save(&ledger_path)?;
                                 row.state = SlotState::Failed;
-                                row.shown = "failed";
-                                row.attempts = attempt as u64;
-                                row.repro = repro_path;
                                 pending -= 1;
                                 running -= 1;
                                 running_cost -= row.spec.cost;
@@ -550,7 +531,6 @@ impl Farm {
                             }
                         }
                     }
-                    publish(&rows, matrix_digest, "running");
                     dispatch(
                         &mut rows,
                         &mut ready,
@@ -560,7 +540,6 @@ impl Farm {
                         &work_tx,
                     )?;
                 }
-                publish(&rows, matrix_digest, "done");
                 Ok(report)
             })();
             // Close the queue so idle workers exit; in-flight workers drain
@@ -689,7 +668,6 @@ fn dispatch(
         }
         ready.remove(i);
         rows[slot].state = SlotState::Running;
-        rows[slot].shown = "running";
         *running += 1;
         *running_cost += cost;
         let msg = WorkMsg {
@@ -734,7 +712,6 @@ fn block_dependents(
                 attempts: 0,
             });
             rows[dep].state = SlotState::Blocked;
-            rows[dep].shown = "blocked";
             *pending -= 1;
             report.blocked.push(rows[dep].spec.id.clone());
             ready.retain(|&r| r != dep);
@@ -768,9 +745,6 @@ fn enqueue_diagnostic(
         spec: dspec,
         role: JobRole::Repro,
         state: SlotState::Pending,
-        shown: "pending",
-        attempts: 0,
-        repro: None,
         waiting: 0,
         dependents: Vec::new(),
         run: Some(job.run),
@@ -778,39 +752,4 @@ fn enqueue_diagnostic(
     ready.push(slot);
     *pending += 1;
     Ok(())
-}
-
-/// Publishes the farm's live state on the `/progress` endpoint.
-fn publish(rows: &[SlotRow], matrix_digest: u64, status: &str) {
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|&a, &b| rows[a].spec.id.cmp(&rows[b].spec.id));
-    let jobs: Vec<Value> = order
-        .iter()
-        .map(|&i| {
-            let r = &rows[i];
-            let mut fields = vec![
-                ("id", Value::from(r.spec.id.as_str())),
-                ("role", Value::from(r.role.as_str())),
-                ("status", Value::from(r.shown)),
-                ("attempts", Value::from(r.attempts)),
-            ];
-            if let Some(repro) = &r.repro {
-                fields.push(("repro", Value::from(repro.as_str())));
-            }
-            Value::object(fields)
-        })
-        .collect();
-    let count = |want: &str| Value::from(rows.iter().filter(|r| r.shown == want).count());
-    serve::publish_progress(Value::object([
-        ("component", Value::from("farm")),
-        ("status", Value::from(status)),
-        ("matrix_digest", persist::hex(matrix_digest)),
-        ("total", Value::from(rows.len())),
-        ("ok", count("ok")),
-        ("skipped", count("skipped")),
-        ("running", count("running")),
-        ("failed", count("failed")),
-        ("blocked", count("blocked")),
-        ("jobs", Value::Array(jobs)),
-    ]));
 }

@@ -45,7 +45,6 @@ use relaxfault_util::json::Value;
 use relaxfault_util::obs::{self, Level};
 use relaxfault_util::persist::{self, Persist};
 use relaxfault_util::rng::Rng64;
-use relaxfault_util::serve;
 use relaxfault_util::trace_event;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -838,9 +837,8 @@ impl FleetSim {
         };
 
         let dirty_before = self.dirty_evals();
-        // Live-plane instrumentation: the span feeds the flight recorder
-        // and profiler, the gauges make `/metrics` show within-epoch
-        // progress while workers are still running.
+        // The span feeds the epoch histogram and the profiler; the gauges
+        // record within-epoch progress while workers are still running.
         let _epoch_span = obs::span("relsim.fleet.epoch_ns");
         obs::gauge("fleet.current_epoch").set(epoch as f64);
         let shards_done_gauge = obs::gauge("fleet.epoch_shards_done");
@@ -1096,11 +1094,12 @@ impl FleetSim {
         ])
     }
 
-    /// Builds the point-in-time progress document the live `/progress`
-    /// route serves: epoch position, shard layout, dirty-node history,
-    /// checkpoint lineage, and a forecast section answering each queried
-    /// fleet size exactly like `fleet_forecast --query` does — so a second
-    /// process can poll a forecast mid-run instead of waiting for exit.
+    /// Builds the point-in-time progress document `fleet_forecast` writes
+    /// to `<results>/obs/<run>.progress.json` at every epoch boundary:
+    /// epoch position, shard layout, dirty-node history, checkpoint
+    /// lineage, and a forecast section answering each queried fleet size
+    /// exactly like `fleet_forecast --query` does — so a second process
+    /// can read a forecast mid-run instead of waiting for exit.
     pub fn progress_json(&self, queries: &[u64]) -> Value {
         let complete = self.completed_epochs >= self.epochs;
         let forecasts: Vec<Value> = queries
@@ -1141,13 +1140,6 @@ impl FleetSim {
             ("checkpoints", self.checkpoint_lineage()),
             ("forecast", Value::Array(forecasts)),
         ])
-    }
-
-    /// Publishes [`FleetSim::progress_json`] to the live endpoint's
-    /// `/progress` route. The forecast binary calls this at every epoch
-    /// boundary; without a server running the publish is a cheap store.
-    pub fn publish_progress(&self, queries: &[u64]) {
-        serve::publish_progress(self.progress_json(queries));
     }
 
     /// Publishes the fleet's logical state into the obs registry for

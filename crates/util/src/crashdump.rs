@@ -1,9 +1,9 @@
-//! Crash dumps: drain the telemetry plane on the way down.
+//! Crash dumps: copy the telemetry out on the way down.
 //!
 //! A multi-minute fleet run that panics (or hits the injected
 //! `RF_FLEET_CRASH_AT` death) used to lose every event since start —
 //! snapshots only materialize at clean exit. A [`CrashDump`] freezes what
-//! the live plane knows at the moment of death into one
+//! the process knows at the moment of death into one
 //! schema-versioned [`Persist`] artifact at
 //! `results/obs/<run>.crashdump.json`:
 //!
@@ -11,9 +11,15 @@
 //! {"schema_version": 1, "kind": "crash_dump", "run": "...",
 //!  "reason": "...", "wall_clock_ms": ...,
 //!  "snapshot": { ... the full obs snapshot, manifest embedded ... },
-//!  "flight":   [ ... recent events, merged-trace JSON schema ... ],
+//!  "flight":   [ ... newest trace events, merged-trace JSON schema ... ],
 //!  "checkpoint": { ... embedded fleet_checkpoint document or null ... }}
 //! ```
+//!
+//! `flight` holds the trace rings' contents as read by
+//! [`obs::peek_events`] (empty unless `RF_TRACE` captured events); the
+//! read does not consume them, so a panic caught on a worker thread
+//! leaves the trace intact for the run's own exporter. Span timings live
+//! in the snapshot's histograms.
 //!
 //! The embedded checkpoint is what makes a dump *actionable* rather than
 //! merely descriptive: it carries the `(seed, epoch, shard-digest)`
@@ -29,7 +35,6 @@
 //! the simulated-crash path in `fleet_forecast` calls
 //! [`CrashDump::write`] directly with the newest on-disk checkpoint.
 
-use crate::flight;
 use crate::json::Value;
 use crate::obs;
 use crate::persist::{parse_u64_field, Persist};
@@ -39,7 +44,7 @@ use std::sync::OnceLock;
 /// The `kind` header tag of crash-dump artifacts.
 pub const KIND: &str = "crash_dump";
 
-/// Everything the live plane knew when the process died.
+/// Everything the telemetry knew when the process died.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashDump {
     /// Run name (the artifact's file stem, before `.crashdump.json`).
@@ -50,7 +55,8 @@ pub struct CrashDump {
     pub wall_clock_ms: u64,
     /// The full obs snapshot (counters, gauges, histograms, manifest).
     pub snapshot: Value,
-    /// Flight-recorder contents in the merged-trace JSON schema.
+    /// The newest trace events in the merged-trace JSON schema (the key
+    /// keeps its historical name so older dumps still load).
     pub flight: Value,
     /// The newest durable `fleet_checkpoint` document, when the dying run
     /// was a fleet simulation with checkpointing enabled.
@@ -122,15 +128,16 @@ impl Persist for CrashDump {
 }
 
 impl CrashDump {
-    /// Drains the live plane into a dump: the obs snapshot, the flight
-    /// recorder (as merged-trace JSON), and the given durable checkpoint.
+    /// Captures a dump: the obs snapshot, a non-consuming copy of the
+    /// trace rings (as merged-trace JSON), and the given durable
+    /// checkpoint.
     pub fn collect(run: &str, reason: &str, checkpoint: Option<Value>) -> CrashDump {
         CrashDump {
             run: run.to_string(),
             reason: reason.to_string(),
             wall_clock_ms: obs::now_ms(),
             snapshot: obs::snapshot(),
-            flight: obs::events_to_json(&flight::snapshot()),
+            flight: obs::events_to_json(&obs::peek_events()),
             checkpoint,
         }
     }
@@ -234,6 +241,32 @@ mod tests {
         assert_eq!(back, dump);
         assert!(back.flight.as_array().is_some_and(|a| !a.is_empty()));
         assert!(back.checkpoint.is_some());
+    }
+
+    #[test]
+    fn dump_copies_the_trace_without_consuming_it() {
+        let _serial = obs::exclusive();
+        obs::reset();
+        obs::set_filter("crashtest=debug").unwrap();
+        std::thread::scope(|s| {
+            for trial in [2u64, 0, 1] {
+                s.spawn(move || {
+                    let _scope = obs::scope(trial, 0);
+                    trace_event!(target: "crashtest", obs::Level::Debug, "step", trial = trial);
+                });
+            }
+        });
+        let dump = CrashDump::collect("crashtest3", "simulated death", None);
+        let drained = obs::drain_events();
+        obs::set_filter("").unwrap();
+        obs::set_metrics_enabled(false);
+        obs::reset();
+        assert_eq!(drained.len(), 3, "collecting the dump consumed events");
+        assert_eq!(
+            dump.flight.to_pretty(),
+            obs::events_to_json(&drained).to_pretty(),
+            "the dump's flight array and the later drain disagree"
+        );
     }
 
     #[test]

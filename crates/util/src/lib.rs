@@ -24,21 +24,18 @@
 //! * [`lanes`] — bitplane lanes (u64/u128) for the bit-sliced Monte Carlo
 //!   trial kernel: transpose, popcount-reduce, lane-masked select, and the
 //!   run-time [`lanes::LaneMode`] selector.
-//! * [`obs`] — structured observability: leveled event tracing with a
-//!   deterministic merged stream, a metrics registry (counters, gauges,
-//!   log-linear histograms), RAII span timers, and text/JSON sinks, all
-//!   gated to be free when disabled.
+//! * [`obs`] — structured observability: leveled event tracing into
+//!   bounded per-thread rings with a deterministic merged stream, a
+//!   metrics registry (counters, gauges, log-linear histograms), RAII span
+//!   timers, and text/JSON sinks, all gated to be free when disabled.
 //! * [`export`] — exporters from the [`obs`] model to external tool
 //!   formats: Chrome trace-event JSON (Perfetto-loadable) and Prometheus
 //!   text exposition, both built on the in-repo JSON/text code.
-//! * [`flight`] — the flight recorder: always-on bounded rings of the most
-//!   recent events per thread, drainable at any time (the live `/flight`
-//!   route and crash dumps read it).
-//! * [`serve`] — an opt-in in-process HTTP endpoint serving `/metrics`,
-//!   `/health`, `/progress`, and `/flight` from a live run.
-//! * [`crashdump`] — drains the flight recorder, metrics, and manifest
-//!   into a schema-versioned `crash_dump` artifact on panic or injected
-//!   crash, with the newest durable fleet checkpoint embedded for replay.
+//! * [`crashdump`] — copies the trace rings, metrics, and manifest into a
+//!   schema-versioned `crash_dump` artifact on panic or injected crash,
+//!   with the newest durable fleet checkpoint embedded for replay.
+//! * [`history`] — the append-only cross-run perf-history ledger, the
+//!   workspace's one run registry.
 //! * [`profiler`] — a self-sampling span profiler emitting
 //!   flamegraph-folded stacks (`<run>.folded`) with no external tooling.
 //! * [`hash`] — a fast deterministic (non-cryptographic) hasher plus
@@ -65,7 +62,6 @@ pub mod bits;
 pub mod crashdump;
 pub mod dist;
 pub mod export;
-pub mod flight;
 pub mod hash;
 pub mod history;
 pub mod json;
@@ -75,7 +71,6 @@ pub mod persist;
 pub mod profiler;
 pub mod prop;
 pub mod rng;
-pub mod serve;
 pub mod stats;
 pub mod table;
 pub mod timing;

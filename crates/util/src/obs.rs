@@ -5,11 +5,13 @@
 //! those runs inspectable without making them slower or nondeterministic:
 //!
 //! * **Event tracing** — leveled, key-value events emitted through the
-//!   [`trace_event!`](crate::trace_event) macro into per-thread buffers.
-//!   Events carry a `(trial, group)` scope key plus a per-scope sequence
-//!   number, so [`drain_events`] can merge the buffers into a stream whose
-//!   order depends only on the work, never on which worker thread ran it:
-//!   the rendered stream is byte-identical across thread counts.
+//!   [`trace_event!`](crate::trace_event) macro into bounded per-thread
+//!   rings that keep the newest events. Events carry a `(trial, group)`
+//!   scope key plus a per-scope sequence number, so [`drain_events`] can
+//!   merge the rings into a stream whose order depends only on the work,
+//!   never on which worker thread ran it: the rendered stream is
+//!   byte-identical across thread counts. [`peek_events`] reads the same
+//!   merged stream without consuming it (crash dumps use it).
 //! * **Metrics** — a process-wide registry of named [`Counter`]s,
 //!   [`Gauge`]s, and log-linear [`Histogram`]s (p50/p95/p99/max) updated
 //!   with relaxed atomics. Sums commute, so metrics stay exact under any
@@ -22,10 +24,10 @@
 //!   written under `results/obs/<run>.json`).
 //! * **Run manifests** — every snapshot embeds a [`Manifest`] (git SHA,
 //!   cargo profile, thread count, RNG seeds, scenario config hash,
-//!   wall-clock from an injectable clock) and [`write_snapshot`] appends
-//!   the run to the `results/runs/index.json` registry atomically, so any
-//!   two runs can be compared long after the processes that produced them
-//!   are gone (the `obs_diff` reporter consumes exactly this metadata).
+//!   wall-clock from an injectable clock), so any two runs can be compared
+//!   long after the processes that produced them are gone (the `obs_diff`
+//!   reporter and the [`crate::history`] ledger consume exactly this
+//!   metadata).
 //!   Simulators publish their parameters through [`note_run_context`];
 //!   bench harnesses publish medians through [`record_bench`]. External
 //!   tool formats (Perfetto traces, Prometheus exposition) are produced by
@@ -48,9 +50,12 @@
 //! ones, tie-broken by their rendered text. As long as per-scope emission
 //! is deterministic — which it is whenever the traced code is
 //! deterministic in `(seed, trial, group)` — the merged stream is
-//! reproducible at any thread count, provided no events were dropped
-//! (per-thread buffers are bounded; [`dropped_events`] reports losses and
-//! the snapshot records them).
+//! reproducible at any thread count, provided no events were dropped.
+//! Each per-thread ring holds `RF_TRACE_BUF` events (default 65536); a
+//! full ring overwrites its oldest event, [`dropped_events`] counts every
+//! such loss, and the snapshot records the count. After a loss the
+//! retained *window* depends on the thread count, though the order of
+//! what remains never does.
 //!
 //! # Examples
 //!
@@ -79,6 +84,7 @@
 
 use crate::json::Value;
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -362,8 +368,10 @@ macro_rules! trace_event {
 // Global state
 // ---------------------------------------------------------------------------
 
+/// One thread's trace ring. Only its owning thread writes; readers lock
+/// it just long enough to drain or clone it.
 struct ThreadBuf {
-    events: Mutex<Vec<Event>>,
+    events: Mutex<VecDeque<Event>>,
 }
 
 enum Metric {
@@ -385,6 +393,7 @@ struct Global {
     buffers: Mutex<Vec<Arc<ThreadBuf>>>,
     metrics: Mutex<Vec<(String, Metric)>>,
     dropped: AtomicU64,
+    /// Per-thread ring capacity in events (`RF_TRACE_BUF`, at least 1).
     buf_cap: usize,
     /// Simulator-published run parameters folded into the [`Manifest`].
     run_ctx: Mutex<RunContext>,
@@ -392,8 +401,6 @@ struct Global {
     benches: Mutex<Vec<BenchRecord>>,
     /// Injected wall clock (tests pin it; `None` = `SystemTime::now`).
     clock_ms: Mutex<Option<fn() -> u64>>,
-    /// Serializes appends to the run registry within this process.
-    index_lock: Mutex<()>,
     /// Serializes tests that reconfigure the process-wide state.
     test_lock: Mutex<()>,
 }
@@ -444,7 +451,8 @@ fn global() -> &'static Global {
         let buf_cap = std::env::var("RF_TRACE_BUF")
             .ok()
             .and_then(|s| s.parse().ok())
-            .unwrap_or(1 << 16);
+            .unwrap_or(1 << 16)
+            .max(1);
         let g = Global {
             force_off: AtomicBool::new(force_off),
             max_level: AtomicU8::new(0),
@@ -458,7 +466,6 @@ fn global() -> &'static Global {
             run_ctx: Mutex::new(RunContext::default()),
             benches: Mutex::new(Vec::new()),
             clock_ms: Mutex::new(None),
-            index_lock: Mutex::new(()),
             test_lock: Mutex::new(()),
         };
         g.recompute_gates();
@@ -524,7 +531,7 @@ pub fn is_force_off() -> bool {
     global().force_off.load(Ordering::Relaxed)
 }
 
-/// Events discarded because a per-thread buffer was full (determinism of
+/// Events overwritten because a per-thread ring was full (determinism of
 /// the merged stream is only guaranteed when this is zero).
 pub fn dropped_events() -> u64 {
     global().dropped.load(Ordering::Relaxed)
@@ -584,30 +591,27 @@ pub fn emit(
         seq,
         fields,
     };
-    if crate::flight::enabled() {
-        crate::flight::record(event.clone());
-    }
     LOCAL_BUF.with(|cell| {
         let mut slot = cell.borrow_mut();
         let buf = slot.get_or_insert_with(|| {
             let buf = Arc::new(ThreadBuf {
-                events: Mutex::new(Vec::new()),
+                events: Mutex::new(VecDeque::new()),
             });
             g.buffers.lock().expect("buffer registry").push(buf.clone());
             buf
         });
         let mut events = buf.events.lock().expect("thread buffer");
-        if events.len() < g.buf_cap {
-            events.push(event);
-        } else {
+        if events.len() == g.buf_cap {
+            events.pop_front();
             g.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        events.push_back(event);
     });
 }
 
 /// Takes every buffered event and merges them into the deterministic
 /// stream: scoped events ordered by `(trial, group, seq)`, unscoped events
-/// after them, ties broken by rendered text. Buffers of exited threads are
+/// after them, ties broken by rendered text. Rings of exited threads are
 /// unregistered once drained.
 pub fn drain_events() -> Vec<Event> {
     let g = global();
@@ -615,18 +619,29 @@ pub fn drain_events() -> Vec<Event> {
     {
         let mut buffers = g.buffers.lock().expect("buffer registry");
         for buf in buffers.iter() {
-            all.append(&mut buf.events.lock().expect("thread buffer"));
+            all.extend(buf.events.lock().expect("thread buffer").drain(..));
         }
         buffers.retain(|b| Arc::strong_count(b) > 1);
     }
     sort_merged(all)
 }
 
-/// Sorts events into the canonical merged order: scoped events by
-/// `(trial, group, seq)`, unscoped events after them, ties broken by
-/// rendered text. [`drain_events`] and [`crate::flight::snapshot`] share
-/// this so both streams obey the same determinism contract.
-pub fn sort_merged(events: Vec<Event>) -> Vec<Event> {
+/// The merged stream [`drain_events`] would return, cloned without
+/// consuming it — safe at any time, including from a panic hook while
+/// workers are still emitting, and the events stay for a later drain.
+pub fn peek_events() -> Vec<Event> {
+    let buffers = global().buffers.lock().expect("buffer registry");
+    let mut all: Vec<Event> = Vec::new();
+    for buf in buffers.iter() {
+        all.extend(buf.events.lock().expect("thread buffer").iter().cloned());
+    }
+    drop(buffers);
+    sort_merged(all)
+}
+
+/// Sorts events into the canonical merged order [`drain_events`]
+/// documents.
+fn sort_merged(events: Vec<Event>) -> Vec<Event> {
     let mut keyed: Vec<(Event, String)> = events
         .into_iter()
         .map(|e| {
@@ -846,41 +861,12 @@ pub struct SpanTimer {
 impl Drop for SpanTimer {
     fn drop(&mut self) {
         if let Some((hist, start)) = self.hist.take() {
-            let ns = start.elapsed().as_nanos() as u64;
-            hist.record(ns);
-            if crate::flight::enabled() {
-                record_span_event(hist.name(), ns);
-            }
+            hist.record(start.elapsed().as_nanos() as u64);
         }
         if self.pushed {
             crate::profiler::exit();
         }
     }
-}
-
-/// Target carried by the synthetic span-completion events the flight
-/// recorder captures when a [`SpanTimer`] drops (see [`crate::flight`]).
-pub const SPAN_TARGET: &str = "obs.span";
-
-/// Feeds one completed span into the flight recorder as a synthetic event
-/// keyed like any other: it consumes a sequence number from the current
-/// scope, so drained flight streams order span completions deterministically
-/// relative to the trace events around them.
-fn record_span_event(name: &'static str, ns: u64) {
-    let (trial, group, seq) = SCOPE.with(|s| {
-        let (t, gr, seq) = s.get();
-        s.set((t, gr, seq + 1));
-        (t, gr, seq)
-    });
-    crate::flight::record(Event {
-        target: SPAN_TARGET,
-        level: Level::Debug,
-        name,
-        trial,
-        group,
-        seq,
-        fields: vec![("ns", FieldValue::U64(ns))],
-    });
 }
 
 fn with_registry<T>(
@@ -1379,9 +1365,7 @@ pub fn validate_run_name(run: &str) -> Result<(), String> {
 }
 
 /// Writes [`snapshot`] (with `run` recorded in its [`Manifest`]) to
-/// `<RF_RESULTS_DIR|results>/obs/<run>.json` and appends the run to the
-/// `<RF_RESULTS_DIR|results>/runs/index.json` registry, returning the
-/// snapshot path.
+/// `<RF_RESULTS_DIR|results>/obs/<run>.json`, returning the snapshot path.
 ///
 /// # Errors
 ///
@@ -1394,48 +1378,8 @@ pub fn write_snapshot(run: &str) -> std::io::Result<String> {
     let dir = format!("{}/obs", results_dir());
     std::fs::create_dir_all(&dir).map_err(|e| io_context("creating snapshot dir", e))?;
     let path = format!("{dir}/{run}.json");
-    let doc = snapshot_for_run(run);
-    std::fs::write(&path, doc.to_pretty())
+    std::fs::write(&path, snapshot_for_run(run).to_pretty())
         .map_err(|e| io_context(&format!("writing snapshot {path}"), e))?;
-    let manifest = doc.get("manifest").cloned().unwrap_or(Value::Null);
-    append_run_index(manifest, &path)?;
-    Ok(path)
-}
-
-/// Appends one run (its manifest plus the snapshot path) to the
-/// `<RF_RESULTS_DIR|results>/runs/index.json` registry, returning the
-/// registry path. The write is atomic (temp file + rename), so a crashed
-/// or concurrent run can never leave the registry unparsable.
-///
-/// # Errors
-///
-/// Propagates directory-creation and file-write failures with context.
-fn append_run_index(manifest: Value, snapshot_path: &str) -> std::io::Result<String> {
-    let _serial = global().index_lock.lock().expect("index lock");
-    let dir = format!("{}/runs", results_dir());
-    std::fs::create_dir_all(&dir).map_err(|e| io_context("creating runs dir", e))?;
-    let path = format!("{dir}/index.json");
-    let mut runs: Vec<Value> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| Value::parse(&text).ok())
-        .and_then(|doc| {
-            doc.get("runs")
-                .and_then(Value::as_array)
-                .map(<[Value]>::to_vec)
-        })
-        .unwrap_or_default();
-    runs.push(Value::object([
-        ("manifest", manifest),
-        ("snapshot", Value::from(snapshot_path)),
-    ]));
-    let doc = Value::object([
-        ("schema_version", Value::from(SCHEMA_VERSION)),
-        ("runs", Value::Array(runs)),
-    ]);
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    std::fs::write(&tmp, doc.to_pretty())
-        .map_err(|e| io_context(&format!("writing registry {tmp}"), e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| io_context(&format!("renaming into {path}"), e))?;
     Ok(path)
 }
 
@@ -1470,7 +1414,6 @@ pub fn reset() {
     drop(buffers);
     *g.run_ctx.lock().expect("run context") = RunContext::default();
     g.benches.lock().expect("bench records").clear();
-    crate::flight::clear();
 }
 
 #[cfg(test)]
@@ -1488,6 +1431,98 @@ mod tests {
             set_force_off(false);
             reset();
         }
+    }
+
+    fn emit_ticks(trial: u64, n: u64) {
+        let _scope = scope(trial, 0);
+        for i in 0..n {
+            trace_event!(target: "ringtest", Level::Debug, "tick", i = i);
+        }
+    }
+
+    #[test]
+    fn trace_ring_keeps_newest_events_and_counts_losses() {
+        let _x = exclusive();
+        let _dark = Dark;
+        reset();
+        set_filter("ringtest=debug").unwrap();
+        let cap = global().buf_cap as u64;
+        emit_ticks(1, cap + 12);
+        assert_eq!(dropped_events(), 12, "12 events past capacity overwrote");
+        let events = peek_events();
+        // The survivors are the `cap` newest, in deterministic seq order.
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (12..cap + 12).collect::<Vec<u64>>());
+        assert_eq!(drain_events(), events, "drain returns what peek saw");
+        assert!(drain_events().is_empty());
+        assert_eq!(
+            snapshot().get("dropped_events").and_then(Value::as_f64),
+            Some(12.0),
+            "the snapshot records the losses"
+        );
+    }
+
+    #[test]
+    fn peek_does_not_consume_and_reset_empties() {
+        let _x = exclusive();
+        let _dark = Dark;
+        reset();
+        set_filter("ringtest=debug").unwrap();
+        emit_ticks(3, 5);
+        assert_eq!(peek_events().len(), 5);
+        assert_eq!(peek_events().len(), 5, "peek does not consume");
+        assert_eq!(drain_events().len(), 5);
+        emit_ticks(4, 2);
+        reset();
+        assert!(peek_events().is_empty());
+        assert_eq!(dropped_events(), 0);
+    }
+
+    #[test]
+    fn peek_during_write_is_safe_and_monotone() {
+        let _x = exclusive();
+        let _dark = Dark;
+        reset();
+        set_filter("ringtest=debug").unwrap();
+        let writer = std::thread::spawn(|| {
+            for trial in 0..200u64 {
+                emit_ticks(trial, 10);
+            }
+        });
+        // Concurrent peeks while the writer is mid-flight must never panic,
+        // and observed sizes only grow (nothing wraps at this capacity).
+        let mut last = 0usize;
+        for _ in 0..50 {
+            let n = peek_events().len();
+            assert!(n >= last, "peek shrank from {last} to {n}");
+            last = n;
+        }
+        writer.join().expect("writer thread");
+        // The exited writer's ring stays readable until drained.
+        assert_eq!(peek_events().len(), 2000);
+        assert_eq!(drain_events().len(), 2000);
+        assert_eq!(dropped_events(), 0);
+    }
+
+    #[test]
+    fn drain_during_write_loses_nothing() {
+        let _x = exclusive();
+        let _dark = Dark;
+        reset();
+        set_filter("ringtest=debug").unwrap();
+        let writer = std::thread::spawn(|| {
+            for trial in 0..200u64 {
+                emit_ticks(trial, 10);
+            }
+        });
+        let mut drained = 0usize;
+        for _ in 0..50 {
+            drained += drain_events().len();
+        }
+        writer.join().expect("writer thread");
+        drained += drain_events().len();
+        assert_eq!(drained, 2000, "every event is drained exactly once");
+        assert_eq!(dropped_events(), 0);
     }
 
     #[test]
@@ -1727,7 +1762,7 @@ mod tests {
     }
 
     #[test]
-    fn write_snapshot_embeds_manifest_and_appends_registry() {
+    fn write_snapshot_embeds_manifest() {
         let _x = exclusive();
         let _dark = Dark;
         reset();
@@ -1744,9 +1779,9 @@ mod tests {
 
         counter("test.registry_counter").add(5);
         note_run_context(7, 2, 0xDEAD);
-        let path_a = write_snapshot("reg_a").expect("snapshot a");
-        let path_b = write_snapshot("reg_b").expect("snapshot b");
-        let snap = Value::parse(&std::fs::read_to_string(&path_a).expect("readable"))
+        let path = write_snapshot("reg_a").expect("snapshot");
+        assert_eq!(path, format!("{}/obs/reg_a.json", dir.display()));
+        let snap = Value::parse(&std::fs::read_to_string(&path).expect("readable"))
             .expect("snapshot parses");
         let manifest = snap.get("manifest").expect("manifest embedded");
         assert_eq!(manifest.get("run").and_then(Value::as_str), Some("reg_a"));
@@ -1755,26 +1790,6 @@ mod tests {
             Some(42.0)
         );
         assert!(snap.get("benches").is_some(), "benches section present");
-
-        let index_path = dir.join("runs/index.json");
-        let index = Value::parse(&std::fs::read_to_string(&index_path).expect("index readable"))
-            .expect("index parses");
-        let runs = index
-            .get("runs")
-            .and_then(Value::as_array)
-            .expect("runs array");
-        assert_eq!(runs.len(), 2, "one entry per instrumented run");
-        assert_eq!(
-            runs[1].get("snapshot").and_then(Value::as_str),
-            Some(path_b.as_str())
-        );
-        assert_eq!(
-            runs[0]
-                .get("manifest")
-                .and_then(|m| m.get("run"))
-                .and_then(Value::as_str),
-            Some("reg_a")
-        );
 
         restore(&prev);
         set_clock_ms(None);

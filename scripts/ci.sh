@@ -16,7 +16,7 @@ cargo test --workspace -q
 # Observability gate: re-run the smoke scenario with tracing on; it must
 # emit a metrics snapshot under results/obs/ that parses with the strict
 # in-repo JSON parser and carries the required top-level keys.
-rm -rf results/obs results/runs
+rm -rf results/obs
 RF_TRACE=relsim=debug cargo test -q --test smoke
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/obs
 
@@ -25,8 +25,8 @@ cargo run --release -q -p relaxfault-bench --bin obs_validate results/obs
 # them; the exact counter comparison is the determinism signal). The
 # obs_diff verdict JSON is kept under results/ci/ as a build artifact.
 # Committed artifacts (the engine_hot pre-PR snapshot and verdict) stay;
-# only the run registry and snapshots are scrubbed.
-rm -rf results/ci/obs results/ci/runs
+# only the snapshots are scrubbed.
+rm -rf results/ci/obs
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_a \
     cargo run --release -q -p relaxfault-bench --bin fig08_hashing -- 4000
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_b \
@@ -34,23 +34,6 @@ RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=drift_b \
 cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
     results/ci/obs/drift_a.json results/ci/obs/drift_b.json \
     --threshold 10 --out results/ci/obs_diff_verdict.json
-
-# Baseline regression gate, active only when a baseline snapshot has been
-# committed. Record one at the same pinned trial count CI replays (counters
-# are deterministic in the seed, so they match across machines; only
-# timings vary):
-#   RF_OBS=on cargo run --release -p relaxfault-bench --bin fig08_hashing -- 4000
-#   mkdir -p results/baselines && cp results/obs/fig08_hashing.json results/baselines/
-# The newest registered run is compared against the committed baseline of
-# the same run name; regressions beyond the CI threshold fail the build.
-if [ -f results/baselines/fig08_hashing.json ]; then
-    RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=fig08_hashing \
-        cargo run --release -q -p relaxfault-bench --bin fig08_hashing -- 4000
-    mkdir -p results/ci/baselines
-    cp results/baselines/*.json results/ci/baselines/
-    RF_RESULTS_DIR=results/ci cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
-        --latest-vs-baseline --threshold 0.5 --out results/ci/obs_diff_baseline_verdict.json
-fi
 
 # Disabled-path guard: observability must cost <1% of the Monte Carlo
 # inner loop when off (the bench exits non-zero otherwise).
@@ -86,10 +69,12 @@ cargo run --release -q -p relaxfault-relcheck --bin relcheck -- lane-matrix \
     --trials 4000 --out results/ci/lane_matrix_verdict.json \
     || { echo "lane-matrix gate: lane modes diverged" >&2; exit 7; }
 
-# Fleet checkpoint/resume determinism gate: a 1M-node fleet over 20 epochs
-# runs to completion once; the same fleet is then killed mid-epoch by the
-# RF_FLEET_CRASH_AT hook (the kill must actually fire), resumed from the
-# surviving checkpoints, and the resumed run's obs snapshot must be a
+# Fleet checkpoint/resume determinism gate: a profiled 1M-node fleet over
+# 20 epochs runs to completion once; it must leave a progress document
+# reporting completion with a forecast section, and a non-empty folded
+# profile naming relsim spans. The same fleet is then killed mid-epoch by
+# the RF_FLEET_CRASH_AT hook (the kill must actually fire), resumed from
+# the surviving checkpoints, and the resumed run's obs snapshot must be a
 # zero-delta obs_diff match of the uninterrupted one — counters are exact,
 # so any divergence fails the build. The checkpoint directory itself must
 # satisfy the strict fleet-checkpoint schema validator (which also rejects
@@ -97,7 +82,16 @@ cargo run --release -q -p relaxfault-relcheck --bin relcheck -- lane-matrix \
 rm -rf results/ci/fleet_ckpt
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=fleet_full \
     cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
-    1000000 --epochs=20
+    1000000 --epochs=20 --profile
+progress=results/ci/obs/fleet_full.progress.json
+grep -q '"status": "complete"' "$progress" \
+    || { echo "fleet gate: progress document never reached complete" >&2; exit 4; }
+grep -q '"forecast"' "$progress" \
+    || { echo "fleet gate: progress document has no forecast" >&2; exit 4; }
+folded=results/ci/obs/fleet_full.folded
+[ -s "$folded" ] || { echo "fleet gate: no folded profile written" >&2; exit 4; }
+grep -q "relsim" "$folded" \
+    || { echo "fleet gate: folded profile names no relsim spans" >&2; exit 4; }
 if RF_OBS=on RF_RESULTS_DIR=results/ci RF_FLEET_CRASH_AT=mid:13 \
     cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
     1000000 --epochs=20 --ckpt-dir=results/ci/fleet_ckpt >/dev/null 2>&1; then
@@ -137,63 +131,10 @@ if cargo run --release -q -p relaxfault-bench --bin obs_validate \
     exit 4
 fi
 
-# Live-endpoint smoke gate: a profiled fleet run serving the telemetry
-# plane on an OS-assigned port (published through RF_OBS_ADDR_FILE) must
-# answer all four routes over plain /dev/tcp, serve well-formed Prometheus
-# text, honour /quit for a deterministic shutdown, and leave a non-empty
-# folded profile naming relsim spans. The final obs_validate sweep covers
-# everything the CI runs dropped in results/ci/obs: snapshots, traces,
-# crash dumps, and the folded profile.
-rm -f results/ci/obs_addr results/ci/obs/live_smoke.folded
-RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=live_smoke \
-    RF_OBS_ADDR_FILE=results/ci/obs_addr \
-    cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
-    200000 --epochs=8 --serve-obs=0 --profile --linger-ms=30000 &
-live_pid=$!
-for _ in $(seq 1 300); do [ -s results/ci/obs_addr ] && break; sleep 0.1; done
-[ -s results/ci/obs_addr ] || {
-    echo "live gate: endpoint address never published" >&2
-    kill "$live_pid" 2>/dev/null; exit 5
-}
-addr=$(cat results/ci/obs_addr)
-obs_get() { # obs_get /route -> full HTTP response on stdout
-    exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
-    printf 'GET %s HTTP/1.0\r\n\r\n' "$1" >&3
-    cat <&3
-    exec 3<&-
-}
-obs_get /health | grep -q '"status": "ok"' \
-    || { echo "live gate: /health unhealthy" >&2; kill "$live_pid"; exit 5; }
-metrics=$(obs_get /metrics)
-echo "$metrics" | head -n1 | grep -q "200 OK" \
-    || { echo "live gate: /metrics not 200" >&2; kill "$live_pid"; exit 5; }
-echo "$metrics" | grep -q "text/plain; version=0.0.4" \
-    || { echo "live gate: /metrics content-type" >&2; kill "$live_pid"; exit 5; }
-echo "$metrics" | grep -Eq '^# TYPE [a-zA-Z_][a-zA-Z0-9_:]* (counter|gauge|histogram)' \
-    || { echo "live gate: /metrics not Prometheus text" >&2; kill "$live_pid"; exit 5; }
-obs_get /flight | grep -q '^\[' \
-    || { echo "live gate: /flight is not an event array" >&2; kill "$live_pid"; exit 5; }
-# The run publishes a fresh document every boundary; once it completes it
-# lingers, so polling until `complete` terminates deterministically.
-progress_ok=
-for _ in $(seq 1 600); do
-    if obs_get /progress | grep -q '"status": "complete"'; then progress_ok=1; break; fi
-    sleep 0.5
-done
-[ -n "$progress_ok" ] || { echo "live gate: /progress never completed" >&2; kill "$live_pid"; exit 5; }
-obs_get /progress | grep -q '"forecast"' \
-    || { echo "live gate: /progress has no forecast" >&2; kill "$live_pid"; exit 5; }
-obs_get /quit >/dev/null
-if ! wait "$live_pid"; then
-    echo "live gate: served run did not exit cleanly" >&2
-    exit 5
-fi
-folded=results/ci/obs/live_smoke.folded
-[ -s "$folded" ] || { echo "live gate: no folded profile written" >&2; exit 5; }
-grep -q "relsim" "$folded" \
-    || { echo "live gate: folded profile names no relsim spans" >&2; exit 5; }
+# Final sweep: everything the CI runs above dropped in results/ci/obs
+# (snapshots, traces, crash dumps, folded profiles) must validate.
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/obs \
-    || { echo "live gate: results/ci/obs failed validation" >&2; exit 5; }
+    || { echo "obs gate: results/ci/obs failed validation" >&2; exit 4; }
 
 # Engine hot-loop regression gate: replay the per-trial pipeline bench and
 # compare against the committed baseline snapshot. Cargo runs bench
