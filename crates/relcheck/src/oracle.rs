@@ -818,20 +818,42 @@ pub fn eval_oracle_property(src: &mut Source) -> PropResult {
     Ok(())
 }
 
-/// Whole-engine differential: the parallel, fast-pathed, work-stealing
-/// production engine against the single-threaded allocating reference, at
-/// a generated thread count and chunk size.
-pub fn engine_oracle_property(src: &mut Source) -> PropResult {
-    let base = Scenario::isca16_baseline()
-        .with_fit_scale(40.0)
+/// Arms that exercise the engine's plan sharing: one generated mechanism
+/// under ReplA, ReplB and no replacement (one planner key, so one plan
+/// replayed three ways), plus a RelaxFault-1 pair that differs only in
+/// LLC set hashing (two keys, which must never share a plan).
+fn plan_sharing_arms(src: &mut Source, fit_scale: f64) -> Vec<Scenario> {
+    let base = Scenario::isca16_baseline().with_fit_scale(fit_scale);
+    let mechanism = match src.choice_index(3) {
+        0 => Mechanism::RelaxFault {
+            max_ways: gen::arb_max_ways(src),
+        },
+        1 => Mechanism::FreeFault {
+            max_ways: gen::arb_max_ways(src),
+        },
+        _ => Mechanism::Ppr,
+    };
+    let rf1 = base
+        .clone()
+        .with_mechanism(Mechanism::RelaxFault { max_ways: 1 })
         .with_replacement(ReplacementPolicy::None);
-    let arms = vec![
-        base.clone()
-            .with_mechanism(Mechanism::RelaxFault { max_ways: 1 }),
-        base.clone()
-            .with_mechanism(Mechanism::FreeFault { max_ways: 4 }),
-        base.with_mechanism(Mechanism::Ppr),
-    ];
+    let arm = base.with_mechanism(mechanism);
+    vec![
+        arm.clone().with_replacement(ReplacementPolicy::AfterDue),
+        arm.clone()
+            .with_replacement(ReplacementPolicy::AfterErrors { trigger_prob: 0.5 }),
+        arm.with_replacement(ReplacementPolicy::None),
+        rf1.clone().without_set_hashing(),
+        rf1,
+    ]
+}
+
+/// Whole-engine differential: the parallel, fast-pathed, work-stealing,
+/// plan-sharing production engine against the single-threaded allocating
+/// reference (which evaluates every arm on its own), at a generated
+/// thread count and chunk size.
+pub fn engine_oracle_property(src: &mut Source) -> PropResult {
+    let arms = plan_sharing_arms(src, 40.0);
     let run = RunConfig {
         trials: src.u64(1, 60),
         seed: src.u64(0, u64::MAX),
@@ -849,7 +871,8 @@ pub fn engine_oracle_property(src: &mut Source) -> PropResult {
 /// sub-block trial counts (pure scalar tails), exact lane multiples and
 /// their off-by-ones, near-zero-fault populations (the popcount bulk
 /// retire), and rollback-heavy ones (high FIT scale against 1-way
-/// planners). Results must be bit-identical in every field.
+/// planners), over plan-sharing arms. Results must be bit-identical in
+/// every field.
 pub fn lanes_oracle_property(src: &mut Source) -> PropResult {
     let trials = match src.choice_index(4) {
         0 => src.u64(1, 63),
@@ -858,19 +881,9 @@ pub fn lanes_oracle_property(src: &mut Source) -> PropResult {
         _ => src.u64(1, 300),
     };
     // 0.2 leaves almost every lane bit clean; 300 makes faults (and
-    // failed try_add offers against the 1-way arm) the common case.
+    // failed try_add offers against the 1-way arms) the common case.
     let fit = [0.2, 40.0, 300.0][src.choice_index(3)];
-    let base = Scenario::isca16_baseline()
-        .with_fit_scale(fit)
-        .with_replacement(ReplacementPolicy::None);
-    let arms = vec![
-        base.clone()
-            .with_mechanism(Mechanism::RelaxFault { max_ways: 1 }),
-        base.clone().with_mechanism(Mechanism::FreeFault {
-            max_ways: gen::arb_max_ways(src),
-        }),
-        base.with_mechanism(Mechanism::Ppr),
-    ];
+    let arms = plan_sharing_arms(src, fit);
     let run = RunConfig {
         trials,
         seed: src.u64(0, u64::MAX),

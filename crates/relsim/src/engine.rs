@@ -6,7 +6,7 @@
 //! Trials are deterministic in `(seed, trial index)` regardless of thread
 //! count.
 
-use crate::node::{evaluate_node_with, EvalScratch};
+use crate::node::ArmScratch;
 use crate::repro::{trial_digest, ReproCase};
 use crate::scenario::Scenario;
 use relaxfault_dram::DramConfig;
@@ -299,11 +299,12 @@ pub fn eval_rng_seed(seed: u64, trial: u64) -> u64 {
 }
 
 /// One engine worker's reusable state: per-arm accumulators, per-group
-/// samplers, the sampled lifetime buffer, and one evaluation scratch
-/// (planner included) per arm. Both the scalar per-trial path and the
-/// bit-sliced block path drive the same faulty-trial pipeline here, so
-/// their results are identical by construction everywhere except the
-/// zero-fault gate — and the gate decision itself is pinned equal by
+/// samplers, the sampled lifetime buffer, and the arms' evaluation
+/// scratch (one planner per distinct planner key and fault model). Both
+/// the scalar per-trial path and the bit-sliced block path drive the
+/// same faulty-trial pipeline here, so their results are identical by
+/// construction everywhere except the zero-fault gate — and the gate
+/// decision itself is pinned equal by
 /// `FaultSampler::trial_is_clean_from_first`.
 struct Worker<'a> {
     scenarios: &'a [Scenario],
@@ -313,7 +314,7 @@ struct Worker<'a> {
     seed: u64,
     local: Vec<ScenarioResult>,
     node: NodeFaults,
-    scratches: Vec<EvalScratch>,
+    arms: ArmScratch,
     metrics: &'static EngineMetrics,
     // One enabled-check per worker instead of ~20 per trial: obs state is
     // fixed before the run starts, so the gated no-op loads inside every
@@ -346,7 +347,7 @@ impl<'a> Worker<'a> {
                 .map(|s| ScenarioResult::new(s.mechanism.label()))
                 .collect(),
             node: NodeFaults::default(),
-            scratches: scenarios.iter().map(|_| EvalScratch::new()).collect(),
+            arms: ArmScratch::new(scenarios),
             metrics: engine_metrics(),
             metrics_on: obs::metrics_enabled(),
             check_on: rf_check_enabled(),
@@ -446,9 +447,10 @@ impl<'a> Worker<'a> {
     }
 
     /// The faulty-trial pipeline, shared verbatim by both paths:
-    /// sample the conditional lifetime, then evaluate every member arm on
-    /// it. `sample_rng` must be positioned immediately after the failed
-    /// gate draw.
+    /// sample the conditional lifetime, plan it once per distinct planner
+    /// among the member arms, then replay every member arm from its plan.
+    /// `sample_rng` must be positioned immediately after the failed gate
+    /// draw.
     fn run_faulty(&mut self, trial: u64, gi: usize, sample_rng: &mut Rng64) {
         let scenarios = self.scenarios;
         let groups = self.groups;
@@ -484,27 +486,12 @@ impl<'a> Worker<'a> {
                 );
             }
         }
+        self.arms.plan(scenarios, members, &self.node.events);
         for &si in members {
             let mut eval_rng = Rng64::seed_from_u64(eval_rng_seed(self.seed, trial));
-            let out = evaluate_node_with(
-                &scenarios[si],
-                &self.node,
-                &mut eval_rng,
-                &mut self.scratches[si],
-            );
-            if self.check_on {
-                if let Err(e) = self.scratches[si].check_invariants() {
-                    rf_check_failure(
-                        scenarios,
-                        members,
-                        self.seed,
-                        trial,
-                        gi as u64,
-                        Some(trial_digest(&self.node)),
-                        &format!("arm {si} planner: {e}"),
-                    );
-                }
-            }
+            let out = self
+                .arms
+                .replay(scenarios, si, &self.node.events, &mut eval_rng);
             if self.metrics_on {
                 metrics.trial_evals.inc();
                 if out.faulty {
@@ -555,6 +542,19 @@ impl<'a> Worker<'a> {
             r.max_ways_seen = r.max_ways_seen.max(out.max_ways);
             for (a, b) in r.unrepaired_by_mode.iter_mut().zip(out.unrepaired_by_mode) {
                 *a += b as u64;
+            }
+        }
+        if self.check_on {
+            if let Err(e) = self.arms.check_invariants(members) {
+                rf_check_failure(
+                    scenarios,
+                    members,
+                    self.seed,
+                    trial,
+                    gi as u64,
+                    Some(trial_digest(&self.node)),
+                    &e,
+                );
             }
         }
     }

@@ -22,7 +22,10 @@
 //!   both evaluations restart the same per-trial eval RNG stream
 //!   ([`crate::engine::eval_rng_seed`]), so after the final epoch every
 //!   arm's totals are bit-identical to the engine evaluating the full
-//!   lifetimes — at any thread count;
+//!   lifetimes — at any thread count. Both evaluations replay one
+//!   planning pass over `events[..new]` (the planner's state after the
+//!   old prefix is the plan's `trail[old - 1]`), made once per distinct
+//!   planner key;
 //! * after every epoch a [`FleetCheckpoint`] is written atomically (via
 //!   [`Persist`]): RNG-stream coordinates, per-shard population digests,
 //!   per-shard arm metrics, and the scenario arms themselves. Resuming
@@ -35,7 +38,7 @@
 //! chosen epoch boundary or mid-epoch.
 
 use crate::engine::{eval_rng_seed, sample_rng_seed};
-use crate::node::{evaluate_events_with, EvalScratch, NodeOutcome};
+use crate::node::{ArmScratch, NodeOutcome};
 use crate::repro::trial_digest;
 use crate::scenario::Scenario;
 use relaxfault_faults::arrivals::ArrivalCursor;
@@ -855,8 +858,8 @@ impl FleetSim {
                 let shards_done = &shards_done;
                 let shards_done_gauge = shards_done_gauge.clone();
                 scope.spawn(move || {
-                    let mut scratches: Vec<EvalScratch> =
-                        scenarios.iter().map(|_| EvalScratch::new()).collect();
+                    let mut arms = ArmScratch::new(scenarios);
+                    let all: Vec<usize> = (0..scenarios.len()).collect();
                     loop {
                         let si = next.fetch_add(1, Ordering::Relaxed);
                         if si >= shard_limit {
@@ -869,26 +872,16 @@ impl FleetSim {
                                 continue;
                             };
                             shard.dirty_evals += 1;
-                            for (ai, s) in scenarios.iter().enumerate() {
+                            // One planning pass over the new prefix serves
+                            // both prefixes: the old one is its head.
+                            let events = &f.node.events[..new as usize];
+                            arms.plan(scenarios, &all, events);
+                            for ai in 0..scenarios.len() {
                                 let mut rng = Rng64::seed_from_u64(eval_rng_seed(seed, f.trial));
-                                let out_new = evaluate_events_with(
-                                    s,
-                                    &f.node.events[..new as usize],
-                                    &mut rng,
-                                    &mut scratches[ai],
-                                );
-                                let out_old = if old == 0 {
-                                    NodeOutcome::default()
-                                } else {
-                                    let mut rng =
-                                        Rng64::seed_from_u64(eval_rng_seed(seed, f.trial));
-                                    evaluate_events_with(
-                                        s,
-                                        &f.node.events[..old as usize],
-                                        &mut rng,
-                                        &mut scratches[ai],
-                                    )
-                                };
+                                let out_new = arms.replay(scenarios, ai, events, &mut rng);
+                                let mut rng = Rng64::seed_from_u64(eval_rng_seed(seed, f.trial));
+                                let out_old =
+                                    arms.replay(scenarios, ai, &events[..old as usize], &mut rng);
                                 shard.metrics[ai].absorb(&out_new, &out_old);
                             }
                         }

@@ -41,6 +41,9 @@ pub mod scenario;
 
 pub use engine::{run_scenarios, RunConfig, ScenarioResult};
 pub use fleet::{CrashPoint, FleetCheckpoint, FleetConfig, FleetMetrics, FleetSim};
-pub use node::{evaluate_events_with, evaluate_node, evaluate_node_with, EvalScratch, NodeOutcome};
+pub use node::{
+    evaluate_events_with, evaluate_node, evaluate_node_with, plan_events, replay_events,
+    EvalScratch, EventPlan, NodeOutcome,
+};
 pub use repro::ReproCase;
 pub use scenario::{Mechanism, ReplacementPolicy, Scenario};

@@ -1,6 +1,6 @@
 //! Replays one node's fault timeline against a scenario.
 
-use crate::scenario::{Mechanism, ReplacementPolicy, Scenario};
+use crate::scenario::{Mechanism, PlannerKey, ReplacementPolicy, Scenario};
 use relaxfault_core::plan::{FreeFault, PlanScratch, Ppr, RelaxFault, RepairMechanism};
 use relaxfault_ecc::EccOutcome;
 use relaxfault_faults::{FaultEvent, FaultRegion, NodeFaults};
@@ -97,32 +97,98 @@ impl Planner {
     }
 }
 
-/// Reusable per-(worker, scenario) evaluation state. Holding one of these
-/// across trials removes every allocation from the replay loop *and* lets
-/// the repair planner keep its warmed-up hash-table capacity: the engine
-/// resets it between trials instead of rebuilding it.
-///
-/// A scratch is bound to the scenario of its first use (the planner it
-/// caches is mechanism-specific); reuse across scenarios is rejected by a
-/// debug assertion.
+/// The planner half of an evaluation, made by [`plan_events`] and read by
+/// [`replay_events`]: one repair verdict per event and the planner's LLC
+/// footprint after each event. It owns the planner that made it, built
+/// on the first permanent fault ever planned and reset (not rebuilt) on
+/// the first of each later event list, so holding one across trials keeps
+/// the planner's warmed-up capacity. A plan is bound to the planner key
+/// (mechanism, LLC and DRAM geometry) of its first use; reuse under
+/// another key is rejected by a debug assertion.
 #[derive(Default)]
-pub struct EvalScratch {
-    /// Planner constructed lazily on the first permanent fault ever seen,
-    /// then reset and reused across trials.
+pub struct EventPlan {
     planner: Option<Planner>,
-    /// Mechanism the cached planner was built for.
-    mech: Option<Mechanism>,
-    /// DIMM plane of the live (unrepaired) permanent regions; index `i`
-    /// tags `live_regions[i]`. Split struct-of-arrays so the region plane
-    /// feeds ECC classification directly — no per-event repack.
-    live_dimms: Vec<u32>,
-    /// Region plane of the live permanent regions (parallel to
-    /// `live_dimms`).
-    live_regions: Vec<FaultRegion>,
+    /// Key the cached planner was built for.
+    key: Option<PlannerKey>,
+    /// Scratch for the repair planners.
+    scratch: PlanScratch,
+    /// `repaired[i]`: event `i` is permanent and the planner accepted it.
+    repaired: Vec<bool>,
+    /// `trail[i]`: `(repair_bytes, max_ways)` after planning
+    /// `events[..=i]`; `(0, 0)` until the list's first permanent fault.
+    trail: Vec<(u64, u32)>,
+}
+
+impl EventPlan {
+    /// Creates an empty plan.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Verifies the cached planner's bookkeeping (occupancy sums, way
+    /// limits, spare accounting). A plan with no planner yet trivially
+    /// passes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        match &self.planner {
+            None | Some(Planner::None) => Ok(()),
+            Some(Planner::Relax(p)) => p.check_invariants(),
+            Some(Planner::Free(p)) => p.check_invariants(),
+            Some(Planner::Ppr(p)) => p.check_invariants(),
+        }
+    }
+}
+
+/// The replay half's state: the live (unrepaired, unreplaced) permanent
+/// faults, split struct-of-arrays so the region plane feeds ECC
+/// classification directly — no per-event repack.
+#[derive(Default)]
+struct LiveFaults {
+    /// DIMM plane; index `i` tags `regions[i]`.
+    dimms: Vec<u32>,
+    /// Region plane (parallel to `dimms`).
+    regions: Vec<FaultRegion>,
     /// DIMM indices of the current event's regions.
     event_dimms: Vec<u32>,
-    /// Scratch for the repair planners.
-    plan: PlanScratch,
+}
+
+impl LiveFaults {
+    fn check_invariants(&self) -> Result<(), String> {
+        if self.dimms.len() != self.regions.len() {
+            return Err(format!(
+                "live planes out of step: {} dimms vs {} regions",
+                self.dimms.len(),
+                self.regions.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Removes every live fault on `dimm`, keeping both planes in
+    /// lockstep and preserving arrival order.
+    fn drop_dimm(&mut self, dimm: u32) {
+        let mut keep = self.dimms.iter();
+        self.regions.retain(|_| *keep.next().unwrap() != dimm);
+        self.dimms.retain(|&d| d != dimm);
+    }
+}
+
+/// Reusable per-(worker, scenario) evaluation state: an [`EventPlan`]
+/// (planner included) and the live-fault planes. Holding one of these
+/// across trials removes every allocation from evaluation *and* lets the
+/// repair planner keep its warmed-up hash-table capacity.
+///
+/// A scratch is bound to the planner key of its first use (see
+/// [`EventPlan`]); reuse under another key is rejected by a debug
+/// assertion.
+#[derive(Default)]
+pub struct EvalScratch {
+    /// The plan [`evaluate_events_with`] makes and replays.
+    plan: EventPlan,
+    live: LiveFaults,
 }
 
 impl EvalScratch {
@@ -131,35 +197,96 @@ impl EvalScratch {
         Self::default()
     }
 
-    /// Verifies the cached planner's bookkeeping (occupancy sums, way
-    /// limits, spare accounting) — the per-arm half of the `RF_CHECK=1`
-    /// engine hook. A scratch with no planner yet trivially passes.
+    /// Verifies the live-fault planes and the cached planner's
+    /// bookkeeping (see [`EventPlan::check_invariants`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.live_dimms.len() != self.live_regions.len() {
-            return Err(format!(
-                "live planes out of step: {} dimms vs {} regions",
-                self.live_dimms.len(),
-                self.live_regions.len()
-            ));
-        }
-        match &self.planner {
-            None | Some(Planner::None) => Ok(()),
-            Some(Planner::Relax(p)) => p.check_invariants(),
-            Some(Planner::Free(p)) => p.check_invariants(),
-            Some(Planner::Ppr(p)) => p.check_invariants(),
+        self.live.check_invariants()?;
+        self.plan.check_invariants()
+    }
+}
+
+/// Evaluation state for every arm of a run, with repair planning shared.
+/// Each arm replays the plan of its *owner*: the first arm with the same
+/// fault model (so the same event lists) and the same planner key (so
+/// the same verdicts). ReplA, ReplB and no-replacement arms of one
+/// mechanism thus plan once; non-owner arms never build a planner. The
+/// engine and the fleet hold one per worker thread.
+pub(crate) struct ArmScratch {
+    /// `owner[i]`: the arm whose plan arm `i` replays (`owner[i] <= i`).
+    owner: Vec<usize>,
+    /// One plan per arm; only owners' are ever planned into.
+    plans: Vec<EventPlan>,
+    /// One set of live-fault planes per arm.
+    live: Vec<LiveFaults>,
+}
+
+impl ArmScratch {
+    pub(crate) fn new(scenarios: &[Scenario]) -> Self {
+        let owner = scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let key = s.planner_key();
+                scenarios[..i]
+                    .iter()
+                    .position(|o| o.fault_model == s.fault_model && o.planner_key() == key)
+                    .unwrap_or(i)
+            })
+            .collect();
+        Self {
+            owner,
+            plans: scenarios.iter().map(|_| EventPlan::new()).collect(),
+            live: scenarios.iter().map(|_| LiveFaults::default()).collect(),
         }
     }
 
-    /// Removes every live fault on `dimm`, keeping both planes in
-    /// lockstep and preserving arrival order.
-    fn drop_dimm(&mut self, dimm: u32) {
-        let mut keep = self.live_dimms.iter();
-        self.live_regions.retain(|_| *keep.next().unwrap() != dimm);
-        self.live_dimms.retain(|&d| d != dimm);
+    /// Plans `events` once per distinct planner among `members`, a set of
+    /// arms that all see `events`.
+    pub(crate) fn plan(
+        &mut self,
+        scenarios: &[Scenario],
+        members: &[usize],
+        events: &[FaultEvent],
+    ) {
+        for &si in members {
+            if self.owner[si] == si {
+                plan_events(&scenarios[si], events, &mut self.plans[si]);
+            }
+        }
+    }
+
+    /// Replays arm `si` on `events`, a prefix of the list last planned for
+    /// its members (see [`replay_events`]).
+    pub(crate) fn replay<R: Rng + ?Sized>(
+        &mut self,
+        scenarios: &[Scenario],
+        si: usize,
+        events: &[FaultEvent],
+        rng: &mut R,
+    ) -> NodeOutcome {
+        let plan = &self.plans[self.owner[si]];
+        replay(&scenarios[si], events, plan, rng, &mut self.live[si])
+    }
+
+    /// The `RF_CHECK=1` hook: every member's live planes, and each
+    /// distinct planner among `members` once, on the plan that made it.
+    ///
+    /// # Errors
+    ///
+    /// Names the first arm whose state violates an invariant.
+    pub(crate) fn check_invariants(&self, members: &[usize]) -> Result<(), String> {
+        for &si in members {
+            let mut check = self.live[si].check_invariants();
+            if self.owner[si] == si {
+                check = check.and_then(|()| self.plans[si].check_invariants());
+            }
+            check.map_err(|e| format!("arm {si} planner: {e}"))?;
+        }
+        Ok(())
     }
 }
 
@@ -188,6 +315,11 @@ pub fn evaluate_node<R: Rng + ?Sized>(
 ///    leave it live;
 /// 4. under ReplB, an unrepaired permanent fault trips the corrected-error
 ///    threshold with the policy's probability and replaces the DIMM.
+///
+/// Every permanent fault reaches the planner whatever steps 1, 2 and 4
+/// decide, so the repair offers (step 3) run first as one pass,
+/// [`plan_events`], and the rest replays from its verdicts,
+/// [`replay_events`].
 pub fn evaluate_node_with<R: Rng + ?Sized>(
     scenario: &Scenario,
     node: &NodeFaults,
@@ -198,35 +330,117 @@ pub fn evaluate_node_with<R: Rng + ?Sized>(
 }
 
 /// Replays a time-sorted event slice under `scenario` — the slice form of
-/// [`evaluate_node_with`]. The fleet simulator's incremental epochs call
-/// this on growing prefixes of one lifetime: evaluating
-/// `events[..new_len]` and subtracting the `events[..old_len]` outcome
-/// telescopes to the full-lifetime result without re-evaluating clean
-/// nodes. An empty slice returns the zero outcome without drawing from
-/// `rng`, so prefix bookkeeping never perturbs the eval stream.
+/// [`evaluate_node_with`]: [`plan_events`] then [`replay_events`]. The
+/// fleet simulator's incremental epochs evaluate growing prefixes of one
+/// lifetime: the outcome of `events[..new_len]` minus that of
+/// `events[..old_len]` telescopes to the full-lifetime result without
+/// re-evaluating clean nodes. An empty slice returns the zero outcome
+/// without drawing from `rng`, so prefix bookkeeping never perturbs the
+/// eval stream.
 pub fn evaluate_events_with<R: Rng + ?Sized>(
     scenario: &Scenario,
     events: &[FaultEvent],
     rng: &mut R,
     scratch: &mut EvalScratch,
 ) -> NodeOutcome {
+    plan_events(scenario, events, &mut scratch.plan);
+    replay(scenario, events, &scratch.plan, rng, &mut scratch.live)
+}
+
+/// Runs `scenario`'s repair planner alone over a time-sorted event slice,
+/// offering it every permanent fault in order, and records the verdicts
+/// and the footprint trail in `plan`. The planner draws no randomness
+/// and never sees ECC outcomes or replacements, so one plan serves every
+/// arm with the same planner key (mechanism, LLC and DRAM geometry) and
+/// every prefix of `events`.
+///
+/// # Panics
+///
+/// In debug builds, when `plan` was made under another planner key.
+pub fn plan_events(scenario: &Scenario, events: &[FaultEvent], plan: &mut EventPlan) {
+    debug_assert!(
+        plan.key.is_none() || plan.key == Some(scenario.planner_key()),
+        "EventPlan reused across planner keys"
+    );
+    plan.repaired.clear();
+    plan.trail.clear();
+    // Whether this list touched the planner: ~86% of nodes never see a
+    // permanent fault, so the planner is prepared lazily — constructed on
+    // the first permanent fault ever, reset on the first of each list.
+    let mut planner_live = false;
+    let mut usage = (0, 0);
+    for event in events {
+        let repaired = event.is_permanent() && {
+            let planner = match &mut plan.planner {
+                Some(p) => {
+                    if !planner_live {
+                        p.reset();
+                    }
+                    p
+                }
+                slot @ None => {
+                    plan.key = Some(scenario.planner_key());
+                    slot.insert(Planner::new(scenario))
+                }
+            };
+            planner_live = true;
+            let repaired = planner.try_repair(&event.regions, &mut plan.scratch);
+            usage = (planner.bytes_used(), planner.max_ways_used());
+            repaired
+        };
+        plan.repaired.push(repaired);
+        plan.trail.push(usage);
+    }
+}
+
+/// Replays a time-sorted event slice under `scenario` with the repair
+/// verdicts read from `plan`: ECC classification, repair pre-emption and
+/// the replacement policy (steps 1, 2 and 4 of [`evaluate_node_with`]).
+/// `events` may be any prefix of the list `plan` was made from — the
+/// planner's state after a prefix does not depend on what follows — so
+/// one plan of `events[..new]` also replays `events[..old]`, whose
+/// footprint is `trail[old - 1]`. An empty slice returns the zero
+/// outcome without drawing from `rng`.
+///
+/// # Panics
+///
+/// Panics when `events` is longer than the planned list.
+pub fn replay_events<R: Rng + ?Sized>(
+    scenario: &Scenario,
+    events: &[FaultEvent],
+    plan: &EventPlan,
+    rng: &mut R,
+    scratch: &mut EvalScratch,
+) -> NodeOutcome {
+    replay(scenario, events, plan, rng, &mut scratch.live)
+}
+
+fn replay<R: Rng + ?Sized>(
+    scenario: &Scenario,
+    events: &[FaultEvent],
+    plan: &EventPlan,
+    rng: &mut R,
+    live: &mut LiveFaults,
+) -> NodeOutcome {
     let cfg = &scenario.dram;
     let mut out = NodeOutcome::default();
-    if events.is_empty() {
+    let Some(last) = events.len().checked_sub(1) else {
         return out;
-    }
-    debug_assert!(
-        scratch.mech.is_none() || scratch.mech == Some(scenario.mechanism),
-        "EvalScratch reused across scenarios"
+    };
+    assert!(
+        events.len() <= plan.repaired.len(),
+        "replaying {} events from a plan of {}",
+        events.len(),
+        plan.repaired.len()
     );
-    // Whether this trial touched the planner: ~86% of nodes never see a
-    // permanent fault, so the planner is prepared lazily — constructed on
-    // the first permanent fault ever, reset on the first of each trial.
-    let mut planner_live = false;
-    scratch.live_dimms.clear();
-    scratch.live_regions.clear();
+    debug_assert!(
+        plan.key.is_none() || plan.key == Some(scenario.planner_key()),
+        "replaying a plan made under another planner key"
+    );
+    live.dimms.clear();
+    live.regions.clear();
 
-    for event in events {
+    for (event, &repaired) in events.iter().zip(&plan.repaired) {
         let permanent = event.is_permanent();
         if permanent {
             out.faulty = true;
@@ -235,36 +449,13 @@ pub fn evaluate_events_with<R: Rng + ?Sized>(
 
         // 1. ECC classification against live faults of the same ranks —
         //    the region plane is consumed in place.
-        let mut outcome = scenario.ecc.classify_arrival(
-            cfg,
-            &event.regions,
-            permanent,
-            &scratch.live_regions,
-            rng,
-        );
-        scratch.event_dimms.clear();
-        scratch
-            .event_dimms
+        let mut outcome =
+            scenario
+                .ecc
+                .classify_arrival(cfg, &event.regions, permanent, &live.regions, rng);
+        live.event_dimms.clear();
+        live.event_dimms
             .extend(event.regions.iter().map(|r| r.rank.dimm_index(cfg)));
-
-        // 2. Repair attempt (permanent faults only; transient faults leave
-        //    nothing to repair).
-        let repaired = permanent && {
-            let planner = match &mut scratch.planner {
-                Some(p) => {
-                    if !planner_live {
-                        p.reset();
-                    }
-                    p
-                }
-                slot @ None => {
-                    scratch.mech = Some(scenario.mechanism);
-                    slot.insert(Planner::new(scenario))
-                }
-            };
-            planner_live = true;
-            planner.try_repair(&event.regions, &mut scratch.plan)
-        };
 
         // A fault that got repaired sometimes wins the race: detection via
         // corrected errors elsewhere in the fault triggers repair before
@@ -283,10 +474,10 @@ pub fn evaluate_events_with<R: Rng + ?Sized>(
                 out.dues += 1;
                 if permanent {
                     if scenario.replacement == ReplacementPolicy::AfterDue {
-                        for i in 0..scratch.event_dimms.len() {
-                            let dimm = scratch.event_dimms[i];
+                        for i in 0..live.event_dimms.len() {
+                            let dimm = live.event_dimms[i];
                             out.replacements += 1;
-                            scratch.drop_dimm(dimm);
+                            live.drop_dimm(dimm);
                         }
                         // The faulty DIMM is gone; nothing of this event
                         // survives (any repair lines it claimed are simply
@@ -309,30 +500,25 @@ pub fn evaluate_events_with<R: Rng + ?Sized>(
         out.unrepaired_faults += 1;
         out.unrepaired_by_mode[event.mode as usize] += 1;
         for r in &event.regions {
-            scratch.live_dimms.push(r.rank.dimm_index(cfg));
-            scratch.live_regions.push(*r);
+            live.dimms.push(r.rank.dimm_index(cfg));
+            live.regions.push(*r);
         }
 
-        // 3. ReplB: the unrepaired fault may trip the corrected-error
+        // 4. ReplB: the unrepaired fault may trip the corrected-error
         //    threshold.
         if let ReplacementPolicy::AfterErrors { trigger_prob } = scenario.replacement {
             if rng.gen_bool(trigger_prob) {
-                for i in 0..scratch.event_dimms.len() {
-                    let dimm = scratch.event_dimms[i];
+                for i in 0..live.event_dimms.len() {
+                    let dimm = live.event_dimms[i];
                     out.replacements += 1;
-                    scratch.drop_dimm(dimm);
+                    live.drop_dimm(dimm);
                 }
             }
         }
     }
 
     out.fully_repaired = out.faulty && out.unrepaired_faults == 0;
-    if planner_live {
-        if let Some(p) = &scratch.planner {
-            out.repair_bytes = p.bytes_used();
-            out.max_ways = p.max_ways_used();
-        }
-    }
+    (out.repair_bytes, out.max_ways) = plan.trail[last];
     out
 }
 

@@ -153,6 +153,21 @@ impl ReplacementPolicy {
     }
 }
 
+/// Everything a repair planner is built from. Arms with equal keys make
+/// identical planner calls on one event list and get identical verdicts
+/// (the planner reads only the fault regions, never the RNG, the ECC
+/// outcome or the replacement policy), so the engine and the fleet plan
+/// once per key and replay every such arm from that one plan, and an
+/// [`crate::node::EvalScratch`] refuses reuse under a different key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlannerKey {
+    mechanism: Mechanism,
+    /// LLC geometry and set indexing (hashed vs unhashed, Figure 8).
+    llc: CacheConfig,
+    /// DRAM geometry (already shared by every arm of one run).
+    dram: DramConfig,
+}
+
 /// One experimental arm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -182,6 +197,15 @@ impl Scenario {
             ecc: EccModel::isca16(),
             mechanism: Mechanism::None,
             replacement: ReplacementPolicy::AfterDue,
+        }
+    }
+
+    /// The arm's [`PlannerKey`].
+    pub(crate) fn planner_key(&self) -> PlannerKey {
+        PlannerKey {
+            mechanism: self.mechanism,
+            llc: self.llc,
+            dram: self.dram,
         }
     }
 
