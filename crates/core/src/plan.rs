@@ -11,7 +11,8 @@
 use crate::mapping::{RelaxMap, RepairLine};
 use relaxfault_cache::CacheConfig;
 use relaxfault_dram::{AddressMap, DramConfig, DramLoc, RankId};
-use relaxfault_faults::{Extent, FaultRegion};
+use relaxfault_faults::{Extent, FaultRegion, IdxSet, Rect};
+use relaxfault_util::bits::EchelonBasis;
 use relaxfault_util::hash::{FxHashMap, FxHashSet};
 use relaxfault_util::obs::{self, Counter, Histogram, Level};
 use relaxfault_util::trace_event;
@@ -24,6 +25,10 @@ struct PlanMetrics {
     accepted: Counter,
     rejected_capacity: Counter,
     rejected_conflict: Counter,
+    /// Acceptances decided in closed form and kept pending, unwritten.
+    deferred: Counter,
+    /// Pending acceptances later written out into the occupancy.
+    materialized: Counter,
     lines_per_repair: Histogram,
 }
 
@@ -34,6 +39,8 @@ impl PlanMetrics {
             accepted: obs::counter(&format!("plan.{mech}.accepted")),
             rejected_capacity: obs::counter(&format!("plan.{mech}.rejected_capacity")),
             rejected_conflict: obs::counter(&format!("plan.{mech}.rejected_conflict")),
+            deferred: obs::counter(&format!("plan.{mech}.deferred")),
+            materialized: obs::counter(&format!("plan.{mech}.materialized")),
             lines_per_repair: obs::histogram(&format!("plan.{mech}.lines_per_repair")),
         }
     }
@@ -92,14 +99,6 @@ fn ppr_metrics() -> &'static PlanMetrics {
 /// `PlanScratch` works with any planner.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
-    /// Materialized candidate planes, struct-of-arrays: `cand_sets[i]` /
-    /// `cand_keys[i]` describe candidate `i`. The production path streams
-    /// candidates straight into the occupancy without materializing them;
-    /// these planes exist for the enumeration-pinning tests.
-    #[cfg(test)]
-    cand_sets: Vec<u32>,
-    #[cfg(test)]
-    cand_keys: Vec<u64>,
     /// `(flat rank, device, bank, row)` rows for the PPR planner.
     rows: Vec<(u32, u32, u32, u32)>,
     /// Per-set fresh-line counts for the current begin/offer/finish add,
@@ -400,10 +399,6 @@ impl LlcOccupancy {
         self.line_count
     }
 
-    fn bytes_used(&self) -> u64 {
-        self.lines_used() * self.line_bytes
-    }
-
     /// The keys of every locked line, in arbitrary order.
     fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         let stride = self.max_ways as usize;
@@ -564,46 +559,446 @@ impl LineDeltas {
     }
 }
 
-/// Streams the `(set, key)` of every RelaxFault repair line of `regions`
-/// into `f`, in enumeration order, using the XOR-delta tables: one full
-/// `repair_addr` per (region, bank), then two XORs per line. Stops early
-/// — returning `false` — as soon as `f` does, so a consumer that has
-/// already decided the fault is unrepairable never pays for the rest of
-/// the footprint.
-fn relax_lines_each(
-    map: &RelaxMap,
-    dram: &DramConfig,
-    llc: &CacheConfig,
-    deltas: &LineDeltas,
-    regions: &[FaultRegion],
-    f: &mut impl FnMut(u32, u64) -> bool,
-) -> bool {
-    let off = llc.offset_bits();
-    for r in regions {
-        let rect = r.footprint(dram);
-        let groups = rect.colblocks.divided(map.coalesce_factor());
-        for bank in rect.banks.iter() {
-            let base = map.repair_addr(&RepairLine {
-                rank: r.rank,
-                device: r.device,
-                bank,
-                row: 0,
-                colgroup: 0,
-            });
-            let set_base = llc.set_of(base);
-            for row in rect.rows.iter() {
-                let (ra, rs) = deltas.row(row);
-                let (row_addr, row_set) = (base ^ ra, set_base ^ rs);
-                for colgroup in groups.iter() {
-                    let (ca, cs) = deltas.col(colgroup as usize);
-                    if !f((row_set ^ cs) as u32, (row_addr ^ ca) >> off) {
-                        return false;
+/// How an LLC repair mechanism lays a fault's repair lines out: the
+/// address of each line, and which column indices a footprint needs lines
+/// for. Both layouts are GF(2)-linear in row and column, which
+/// [`LineDeltas`] and the closed-form admission rely on.
+trait LineLayout {
+    /// Mechanism name for reports.
+    const NAME: &'static str;
+
+    /// The mechanism's planner counters.
+    fn metrics() -> &'static PlanMetrics;
+
+    /// Column indices per device row.
+    fn cols_per_row(&self, dram: &DramConfig) -> u32;
+
+    /// The column indices a footprint needs lines for.
+    fn cols(&self, rect: &Rect) -> IdxSet;
+
+    /// Byte address of one repair line.
+    fn addr(&self, rank: RankId, device: u32, bank: u32, row: u32, col: u32) -> u64;
+}
+
+/// RelaxFault's Figure 7c repair space: one line per column-group of one
+/// device.
+impl LineLayout for RelaxMap {
+    const NAME: &'static str = "RelaxFault";
+
+    fn metrics() -> &'static PlanMetrics {
+        relaxfault_metrics()
+    }
+
+    fn cols_per_row(&self, _dram: &DramConfig) -> u32 {
+        self.colgroups_per_row()
+    }
+
+    fn cols(&self, rect: &Rect) -> IdxSet {
+        rect.colblocks.divided(self.coalesce_factor())
+    }
+
+    fn addr(&self, rank: RankId, device: u32, bank: u32, row: u32, colgroup: u32) -> u64 {
+        self.repair_addr(&RepairLine {
+            rank,
+            device,
+            bank,
+            row,
+            colgroup,
+        })
+    }
+}
+
+/// FreeFault's physical blocks: one line per faulty 64-byte block, which
+/// spans every device of the rank, so the device plays no part.
+impl LineLayout for AddressMap {
+    const NAME: &'static str = "FreeFault";
+
+    fn metrics() -> &'static PlanMetrics {
+        freefault_metrics()
+    }
+
+    fn cols_per_row(&self, dram: &DramConfig) -> u32 {
+        dram.blocks_per_row()
+    }
+
+    fn cols(&self, rect: &Rect) -> IdxSet {
+        rect.colblocks
+    }
+
+    fn addr(&self, rank: RankId, _device: u32, bank: u32, row: u32, colblock: u32) -> u64 {
+        let loc = DramLoc {
+            channel: rank.channel,
+            dimm: rank.dimm,
+            rank: rank.rank,
+            bank,
+            row,
+            colblock,
+        };
+        self.encode(loc, 0).0
+    }
+}
+
+/// Most aligned power-of-two blocks a `u32` index range splits into.
+const MAX_BLOCKS: usize = 64;
+
+/// Splits the index range of `set` into maximal aligned power-of-two
+/// blocks `(start, log2 length)`, in ascending order, and returns how
+/// many it wrote into `out`.
+fn aligned_blocks(set: IdxSet, out: &mut [(u32, u32); MAX_BLOCKS]) -> usize {
+    let (mut start, end) = match set {
+        IdxSet::All { domain } => (0, domain as u64),
+        IdxSet::Range { start, count } => (start as u64, start as u64 + count as u64),
+        IdxSet::One(i) => (i as u64, i as u64 + 1),
+    };
+    let mut n = 0;
+    while start < end {
+        let k = start
+            .trailing_zeros()
+            .min(63 - (end - start).leading_zeros());
+        out[n] = (start as u32, k);
+        n += 1;
+        start += 1 << k;
+    }
+    n
+}
+
+/// One mechanism's repair-line space: its layout plus the XOR-delta tables
+/// that enumerate a footprint without re-encoding each line.
+#[derive(Debug, Clone)]
+struct LineSpace<L> {
+    layout: L,
+    dram: DramConfig,
+    llc: CacheConfig,
+    deltas: LineDeltas,
+}
+
+impl<L: LineLayout> LineSpace<L> {
+    fn new(layout: L, dram: &DramConfig, llc: &CacheConfig) -> Self {
+        let origin = RankId {
+            channel: 0,
+            dimm: 0,
+            rank: 0,
+        };
+        let deltas = LineDeltas::new(llc, dram.rows, layout.cols_per_row(dram), |row, col| {
+            layout.addr(origin, 0, 0, row, col)
+        });
+        Self {
+            layout,
+            dram: *dram,
+            llc: *llc,
+            deltas,
+        }
+    }
+
+    /// Analytic count of repair lines a fault would need in isolation.
+    fn lines_needed(&self, regions: &[FaultRegion]) -> u64 {
+        regions
+            .iter()
+            .map(|r| {
+                let rect = r.footprint(&self.dram);
+                rect.banks.len() as u64 * rect.rows.len() * self.layout.cols(&rect).len()
+            })
+            .sum()
+    }
+
+    /// Streams the `(set, key)` of every repair line of `regions` into
+    /// `f`, in enumeration order: one full address per (region, bank),
+    /// then two XORs per line. Stops early — returning `false` — as soon
+    /// as `f` does, so a consumer that has already decided the fault is
+    /// unrepairable never pays for the rest of the footprint.
+    fn lines_each(&self, regions: &[FaultRegion], f: &mut impl FnMut(u32, u64) -> bool) -> bool {
+        let off = self.llc.offset_bits();
+        for r in regions {
+            let rect = r.footprint(&self.dram);
+            let cols = self.layout.cols(&rect);
+            for bank in rect.banks.iter() {
+                let base = self.layout.addr(r.rank, r.device, bank, 0, 0);
+                let set_base = self.llc.set_of(base);
+                for row in rect.rows.iter() {
+                    let (ra, rs) = self.deltas.row(row);
+                    let (row_addr, row_set) = (base ^ ra, set_base ^ rs);
+                    for col in cols.iter() {
+                        let (ca, cs) = self.deltas.col(col as usize);
+                        if !f((row_set ^ cs) as u32, (row_addr ^ ca) >> off) {
+                            return false;
+                        }
                     }
                 }
             }
         }
+        true
     }
-    true
+
+    /// Admits `regions` into `occ` by enumeration, as one atomic add. The
+    /// lines stream straight into the occupancy — no candidate list is
+    /// materialized — and a conflicting fault stops enumerating at its
+    /// first overfull set.
+    fn admit(
+        &self,
+        occ: &mut LlcOccupancy,
+        regions: &[FaultRegion],
+        scratch: &mut PlanScratch,
+    ) -> bool {
+        occ.begin(scratch);
+        let all = self.lines_each(regions, &mut |set, key| occ.offer(set, key, scratch));
+        occ.finish(all, scratch)
+    }
+
+    /// The closed form: how many lines the fullest LLC set would hold if
+    /// `regions` were admitted into an empty occupancy, found without
+    /// enumerating them. `None` when the offer needs enumeration: several
+    /// regions or banks, or rows and columns that both split into more
+    /// than one aligned block.
+    ///
+    /// The footprint's rows × columns split into aligned power-of-two
+    /// blocks. By linearity, block `i` with `d_i` free bits covers the
+    /// coset `c_i ⊕ W_i` of the set space, each set `2^(d_i − dim W_i)`
+    /// times, where `W_i` is spanned by the set deltas of those bits. With
+    /// one axis split, the spans grow with block size, so they are nested.
+    /// A set covered by several blocks then lies in the coset of the block
+    /// with the smallest span, `i`, and that coset lies inside the cosets
+    /// of every block `j` with `W_i ⊆ W_j` and `c_i ⊕ c_j ∈ W_j`. So the
+    /// fullest set holds `max_i Σ_{j : W_i ⊆ W_j, c_i ⊕ c_j ∈ W_j}
+    /// 2^(d_j − dim W_j)` lines. With the blocks in ascending span order
+    /// it suffices to sum over `j ≥ i`: the earliest block of each coset
+    /// of a given span has no earlier block to miss.
+    fn fullest_set(&self, regions: &[FaultRegion]) -> Option<u64> {
+        let [r] = regions else {
+            return None;
+        };
+        let rect = r.footprint(&self.dram);
+        if rect.banks.len() != 1 {
+            return None;
+        }
+        let mut rows = [(0, 0); MAX_BLOCKS];
+        let mut cols = [(0, 0); MAX_BLOCKS];
+        let nr = aligned_blocks(rect.rows, &mut rows);
+        let nc = aligned_blocks(self.layout.cols(&rect), &mut cols);
+        let row_delta = |row: u32| self.deltas.row(row).1;
+        let col_delta = |col: u32| self.deltas.col(col as usize).1;
+        // One axis is a single block, shared by every block of the other
+        // (rows, when neither splits).
+        type Delta<'a> = &'a dyn Fn(u32) -> u64;
+        let (blocks, fixed, split_delta, fixed_delta): (_, _, Delta, Delta) = match (nr, nc) {
+            (_, 1) => (&mut rows[..nr], cols[0], &row_delta, &col_delta),
+            (1, _) => (&mut cols[..nc], rows[0], &col_delta, &row_delta),
+            _ => return None,
+        };
+        let bank = rect.banks.0.trailing_zeros();
+        let origin = self
+            .llc
+            .set_of(self.layout.addr(r.rank, r.device, bank, 0, 0));
+        let shift = origin ^ fixed_delta(fixed.0);
+        // Block j spans the fixed axis's bits and the split axis's bits
+        // below k_j; ascending block size makes the spans ascending too.
+        blocks.sort_unstable_by_key(|&(_, k)| k);
+        let mut span = EchelonBasis::new();
+        for b in 0..fixed.1 {
+            span.insert(fixed_delta(1 << b));
+        }
+        let mut spanned = 0;
+        let (mut coset, mut lines) = ([0u64; MAX_BLOCKS], [0u64; MAX_BLOCKS]);
+        for (j, &(start, k)) in blocks.iter().enumerate() {
+            for b in spanned..k {
+                span.insert(split_delta(1 << b));
+            }
+            spanned = k;
+            coset[j] = shift ^ split_delta(start);
+            let mult = 1 << (k + fixed.1 - span.dim());
+            lines[j] = mult;
+            // `span` is now W_j: every earlier block whose coset lies in
+            // j's gains j's lines.
+            let cj = span.reduce(coset[j]);
+            for i in 0..j {
+                if span.reduce(coset[i]) == cj {
+                    lines[i] += mult;
+                }
+            }
+        }
+        lines[..blocks.len()].iter().copied().max()
+    }
+}
+
+/// A fault accepted in closed form into an empty occupancy, whose lines
+/// are not written out yet.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    region: FaultRegion,
+    /// Lines it locks.
+    lines: u64,
+    /// Lines in its fullest set.
+    max_ways: u32,
+}
+
+impl Pending {
+    /// Writes the fault into `occ` by enumeration, leaving the planes
+    /// exactly as admitting it by enumeration on arrival would have.
+    ///
+    /// # Errors
+    ///
+    /// Fails when enumeration disagrees with the closed form's verdict,
+    /// line count or fullest set.
+    fn write_out<L: LineLayout>(
+        self,
+        space: &LineSpace<L>,
+        occ: &mut LlcOccupancy,
+        scratch: &mut PlanScratch,
+    ) -> Result<(), String> {
+        let ok = space.admit(occ, &[self.region], scratch);
+        if ok && occ.lines_used() == self.lines && occ.max_used == self.max_ways {
+            return Ok(());
+        }
+        Err(format!(
+            "closed form accepted {:?} with {} lines and {} in the fullest set; \
+             enumeration {} it with {} and {}",
+            self.region,
+            self.lines,
+            self.max_ways,
+            if ok { "accepts" } else { "rejects" },
+            occ.lines_used(),
+            occ.max_used
+        ))
+    }
+}
+
+/// The planner behind [`RelaxFault`] and [`FreeFault`]: a line space and
+/// an LLC occupancy, plus at most one admission decided in closed form and
+/// not yet written out.
+///
+/// Most permanent faults are the only one their node sees, so an offer to
+/// an empty occupancy with one region in one bank is decided by
+/// [`LineSpace::fullest_set`] and kept as a [`Pending`] fault. Its lines
+/// are written out through the enumeration path only when something needs
+/// them: the next offer that enumerates, or a view of the occupancy.
+/// Every other offer enumerates, exactly as the closed form's reference.
+#[derive(Debug, Clone)]
+struct LlcPlanner<L> {
+    space: LineSpace<L>,
+    occ: LlcOccupancy,
+    pending: Option<Pending>,
+}
+
+impl<L: LineLayout> LlcPlanner<L> {
+    fn new(layout: L, dram: &DramConfig, llc: &CacheConfig, max_ways: u32) -> Self {
+        Self {
+            space: LineSpace::new(layout, dram, llc),
+            occ: LlcOccupancy::new(llc, max_ways),
+            pending: None,
+        }
+    }
+
+    fn try_repair_with(&mut self, regions: &[FaultRegion], scratch: &mut PlanScratch) -> bool {
+        let metrics = L::metrics();
+        let need = self.space.lines_needed(regions);
+        if need > self.occ.budget_ceiling() {
+            // Whole-bank-scale fault: fail before enumerating.
+            metrics.record(L::NAME, RepairOutcome::RejectedCapacity, need);
+            return false;
+        }
+        if self.pending.is_none() && self.occ.lines_used() == 0 {
+            if let Some(fullest) = self.space.fullest_set(regions) {
+                let ok = fullest <= self.occ.max_ways as u64;
+                if ok {
+                    self.pending = Some(Pending {
+                        region: regions[0],
+                        lines: need,
+                        max_ways: fullest as u32,
+                    });
+                    metrics.deferred.inc();
+                    metrics.record(L::NAME, RepairOutcome::Accepted, need);
+                } else {
+                    metrics.record(L::NAME, RepairOutcome::RejectedConflict, 0);
+                }
+                return ok;
+            }
+        }
+        self.materialize(scratch);
+        let before = self.occ.lines_used();
+        let ok = self.space.admit(&mut self.occ, regions, scratch);
+        let outcome = if ok {
+            RepairOutcome::Accepted
+        } else {
+            RepairOutcome::RejectedConflict
+        };
+        metrics.record(L::NAME, outcome, self.occ.lines_used() - before);
+        ok
+    }
+
+    /// Writes a pending fault out into the occupancy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if enumeration disagrees with the closed form (see
+    /// [`Pending::write_out`]).
+    fn materialize(&mut self, scratch: &mut PlanScratch) {
+        if let Some(p) = self.pending.take() {
+            if let Err(e) = p.write_out(&self.space, &mut self.occ, scratch) {
+                panic!("{e}");
+            }
+            L::metrics().materialized.inc();
+        }
+    }
+
+    fn reset(&mut self) {
+        self.occ.reset();
+        self.pending = None;
+    }
+
+    fn lines_used(&self) -> u64 {
+        self.occ.lines_used() + self.pending.map_or(0, |p| p.lines)
+    }
+
+    fn bytes_used(&self) -> u64 {
+        self.lines_used() * self.occ.line_bytes
+    }
+
+    fn max_ways_used(&self) -> u32 {
+        self.occ
+            .max_used
+            .max(self.pending.map_or(0, |p| p.max_ways))
+    }
+
+    fn line_keys(&mut self) -> impl Iterator<Item = u64> + '_ {
+        self.materialize(&mut PlanScratch::new());
+        self.occ.keys()
+    }
+
+    fn occupied_sets(&mut self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.materialize(&mut PlanScratch::new());
+        self.occ.occupied()
+    }
+
+    /// Verifies the occupancy bookkeeping. A pending fault is written out
+    /// into a copy first, whose enumerated line count and fullest set must
+    /// equal the closed form's.
+    fn check_invariants(&self) -> Result<(), String> {
+        let Some(p) = self.pending else {
+            return self.occ.check_invariants();
+        };
+        if self.occ.lines_used() != 0 {
+            return Err(format!(
+                "{:?} is pending over {} written lines",
+                p.region,
+                self.occ.lines_used()
+            ));
+        }
+        let mut occ = self.occ.clone();
+        p.write_out(&self.space, &mut occ, &mut PlanScratch::new())?;
+        occ.check_invariants()
+    }
+
+    /// Every repair line of `regions`, as `(set, key)` in enumeration
+    /// order, for tests that pin the fast enumeration against the direct
+    /// per-line mapping.
+    #[cfg(test)]
+    fn lines_of(&self, regions: &[FaultRegion]) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        self.space.lines_each(regions, &mut |set, key| {
+            out.push((set as u64, key));
+            true
+        });
+        out
+    }
 }
 
 /// The paper's contribution: coalescing repair in the LLC (Figure 7c
@@ -612,11 +1007,7 @@ fn relax_lines_each(
 /// `blocks_per_row / data_devices` lines (16 in the evaluation system).
 #[derive(Debug, Clone)]
 pub struct RelaxFault {
-    map: RelaxMap,
-    dram: DramConfig,
-    llc: CacheConfig,
-    deltas: LineDeltas,
-    occ: LlcOccupancy,
+    planner: LlcPlanner<RelaxMap>,
 }
 
 impl RelaxFault {
@@ -631,88 +1022,43 @@ impl RelaxFault {
         if obs::metrics_enabled() {
             obs::gauge("plan.relaxfault.coalesce_factor").set(map.coalesce_factor() as f64);
         }
-        let origin = RankId {
-            channel: 0,
-            dimm: 0,
-            rank: 0,
-        };
-        let deltas = LineDeltas::new(llc, dram.rows, map.colgroups_per_row(), |row, colgroup| {
-            map.repair_addr(&RepairLine {
-                rank: origin,
-                device: 0,
-                bank: 0,
-                row,
-                colgroup,
-            })
-        });
         Self {
-            map,
-            dram: *dram,
-            llc: *llc,
-            deltas,
-            occ: LlcOccupancy::new(llc, max_ways_per_set),
+            planner: LlcPlanner::new(map, dram, llc, max_ways_per_set),
         }
     }
 
     /// The repair mapping in use.
     pub fn mapping(&self) -> &RelaxMap {
-        &self.map
+        &self.planner.space.layout
     }
 
-    /// The keys of every locked repair line, in arbitrary order. Read-only
-    /// view for differential oracles and regression tests.
-    pub fn line_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.occ.keys()
+    /// The keys of every locked repair line, in arbitrary order: a view
+    /// for differential oracles and regression tests. Writes out a pending
+    /// closed-form admission first.
+    pub fn line_keys(&mut self) -> impl Iterator<Item = u64> + '_ {
+        self.planner.line_keys()
     }
 
     /// `(set, lines locked)` for every occupied set, in arbitrary order.
-    pub fn occupied_sets(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.occ.occupied()
+    /// Writes out a pending closed-form admission first.
+    pub fn occupied_sets(&mut self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.planner.occupied_sets()
     }
 
     /// Verifies the planner's occupancy bookkeeping (see
-    /// `LlcOccupancy::check_invariants`).
+    /// `LlcOccupancy::check_invariants`), cross-checking a pending
+    /// closed-form admission against enumeration.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.occ.check_invariants()
+        self.planner.check_invariants()
     }
 
     /// Analytic count of repair lines a fault would need in isolation.
     pub fn lines_needed(&self, regions: &[FaultRegion]) -> u64 {
-        regions
-            .iter()
-            .map(|r| r.footprint(&self.dram))
-            .map(|rect| {
-                rect.banks.len() as u64
-                    * rect.rows.len()
-                    * rect.colblocks.divided(self.map.coalesce_factor()).len()
-            })
-            .sum()
-    }
-
-    /// Enumerates the set/key planes of every repair line into
-    /// `scratch.cand_sets` / `cand_keys` — the materialized form of
-    /// [`relax_lines_each`], for tests that pin the fast enumeration
-    /// against the direct per-line mapping.
-    #[cfg(test)]
-    fn lines_into(&self, regions: &[FaultRegion], scratch: &mut PlanScratch) {
-        scratch.cand_sets.clear();
-        scratch.cand_keys.clear();
-        relax_lines_each(
-            &self.map,
-            &self.dram,
-            &self.llc,
-            &self.deltas,
-            regions,
-            &mut |set, key| {
-                scratch.cand_sets.push(set);
-                scratch.cand_keys.push(key);
-                true
-            },
-        );
+        self.planner.space.lines_needed(regions)
     }
 
     /// Enumerates the repair lines of one fault.
@@ -720,11 +1066,12 @@ impl RelaxFault {
         &'a self,
         regions: &'a [FaultRegion],
     ) -> impl Iterator<Item = RepairLine> + 'a {
+        let space = &self.planner.space;
         regions.iter().flat_map(move |r| {
-            let rect = r.footprint(&self.dram);
+            let rect = r.footprint(&space.dram);
             let rank = r.rank;
             let device = r.device;
-            let groups = rect.colblocks.divided(self.map.coalesce_factor());
+            let groups = space.layout.cols(&rect);
             rect.banks.iter().flat_map(move |bank| {
                 rect.rows.iter().flat_map(move |row| {
                     groups.iter().map(move |colgroup| RepairLine {
@@ -742,55 +1089,27 @@ impl RelaxFault {
 
 impl RepairMechanism for RelaxFault {
     fn name(&self) -> &'static str {
-        "RelaxFault"
+        RelaxMap::NAME
     }
 
     fn try_repair_with(&mut self, regions: &[FaultRegion], scratch: &mut PlanScratch) -> bool {
-        let need = self.lines_needed(regions);
-        if need > self.occ.budget_ceiling() {
-            // Whole-bank-scale fault: fail before enumerating.
-            relaxfault_metrics().record("RelaxFault", RepairOutcome::RejectedCapacity, need);
-            return false;
-        }
-        // Enumeration streams straight into the occupancy — no candidate
-        // list is materialized, and a conflicting fault stops enumerating
-        // at the first overfull set.
-        let before = self.occ.lines_used();
-        self.occ.begin(scratch);
-        let Self {
-            map,
-            dram,
-            llc,
-            deltas,
-            occ,
-        } = self;
-        let all = relax_lines_each(map, dram, llc, deltas, regions, &mut |set, key| {
-            occ.offer(set, key, scratch)
-        });
-        let ok = occ.finish(all, scratch);
-        let outcome = if ok {
-            RepairOutcome::Accepted
-        } else {
-            RepairOutcome::RejectedConflict
-        };
-        relaxfault_metrics().record("RelaxFault", outcome, self.occ.lines_used() - before);
-        ok
+        self.planner.try_repair_with(regions, scratch)
     }
 
     fn reset(&mut self) {
-        self.occ.reset();
+        self.planner.reset();
     }
 
     fn lines_used(&self) -> u64 {
-        self.occ.lines_used()
+        self.planner.lines_used()
     }
 
     fn bytes_used(&self) -> u64 {
-        self.occ.bytes_used()
+        self.planner.bytes_used()
     }
 
     fn max_ways_used(&self) -> u32 {
-        self.occ.max_used
+        self.planner.max_ways_used()
     }
 }
 
@@ -800,11 +1119,7 @@ impl RepairMechanism for RelaxFault {
 /// costs `blocks_per_row` lines (256) instead of RelaxFault's 16.
 #[derive(Debug, Clone)]
 pub struct FreeFault {
-    dram: DramConfig,
-    dram_map: AddressMap,
-    llc: CacheConfig,
-    deltas: LineDeltas,
-    occ: LlcOccupancy,
+    planner: LlcPlanner<AddressMap>,
 }
 
 impl FreeFault {
@@ -816,175 +1131,62 @@ impl FreeFault {
     /// Panics on invalid configs or way limits (see [`RelaxFault::new`]).
     pub fn new(dram: &DramConfig, llc: &CacheConfig, max_ways_per_set: u32) -> Self {
         let dram_map = AddressMap::nehalem_like(dram, true);
-        let deltas = LineDeltas::new(llc, dram.rows, dram.blocks_per_row(), |row, colblock| {
-            dram_map
-                .encode(
-                    DramLoc {
-                        channel: 0,
-                        dimm: 0,
-                        rank: 0,
-                        bank: 0,
-                        row,
-                        colblock,
-                    },
-                    0,
-                )
-                .0
-        });
         Self {
-            dram: *dram,
-            dram_map,
-            llc: *llc,
-            deltas,
-            occ: LlcOccupancy::new(llc, max_ways_per_set),
+            planner: LlcPlanner::new(dram_map, dram, llc, max_ways_per_set),
         }
     }
 
     /// Analytic count of LLC lines a fault would need in isolation.
     pub fn lines_needed(&self, regions: &[FaultRegion]) -> u64 {
-        regions
-            .iter()
-            .map(|r| r.footprint(&self.dram).block_count())
-            .sum()
+        self.planner.space.lines_needed(regions)
     }
 
-    /// The keys of every locked repair line, in arbitrary order.
-    pub fn line_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.occ.keys()
+    /// The keys of every locked repair line, in arbitrary order. Writes
+    /// out a pending closed-form admission first.
+    pub fn line_keys(&mut self) -> impl Iterator<Item = u64> + '_ {
+        self.planner.line_keys()
     }
 
     /// `(set, lines locked)` for every occupied set, in arbitrary order.
-    pub fn occupied_sets(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.occ.occupied()
+    /// Writes out a pending closed-form admission first.
+    pub fn occupied_sets(&mut self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.planner.occupied_sets()
     }
 
     /// Verifies the planner's occupancy bookkeeping (see
-    /// `LlcOccupancy::check_invariants`).
+    /// [`RelaxFault::check_invariants`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.occ.check_invariants()
+        self.planner.check_invariants()
     }
-
-    /// Enumerates the set/key planes of every faulty physical block into
-    /// `scratch.cand_sets` / `cand_keys` — the materialized form of
-    /// [`free_blocks_each`], for tests that pin the fast enumeration
-    /// against direct encoding.
-    #[cfg(test)]
-    fn blocks(&self, regions: &[FaultRegion], scratch: &mut PlanScratch) {
-        scratch.cand_sets.clear();
-        scratch.cand_keys.clear();
-        free_blocks_each(
-            &self.dram_map,
-            &self.dram,
-            &self.llc,
-            &self.deltas,
-            regions,
-            &mut |set, key| {
-                scratch.cand_sets.push(set);
-                scratch.cand_keys.push(key);
-                true
-            },
-        );
-    }
-}
-
-/// Streams the `(set, key)` of every faulty physical block of `regions`
-/// into `f`: one full encode per (region, bank), every other block two
-/// XORs via the delta tables. Stops early — returning `false` — as soon
-/// as `f` does.
-fn free_blocks_each(
-    dram_map: &AddressMap,
-    dram: &DramConfig,
-    llc: &CacheConfig,
-    deltas: &LineDeltas,
-    regions: &[FaultRegion],
-    f: &mut impl FnMut(u32, u64) -> bool,
-) -> bool {
-    let off = llc.offset_bits();
-    for r in regions {
-        let rect = r.footprint(dram);
-        for bank in rect.banks.iter() {
-            let base = dram_map
-                .encode(
-                    DramLoc {
-                        channel: r.rank.channel,
-                        dimm: r.rank.dimm,
-                        rank: r.rank.rank,
-                        bank,
-                        row: 0,
-                        colblock: 0,
-                    },
-                    0,
-                )
-                .0;
-            let set_base = llc.set_of(base);
-            for row in rect.rows.iter() {
-                let (ra, rs) = deltas.row(row);
-                let (row_addr, row_set) = (base ^ ra, set_base ^ rs);
-                for colblock in rect.colblocks.iter() {
-                    let (ca, cs) = deltas.col(colblock as usize);
-                    if !f((row_set ^ cs) as u32, (row_addr ^ ca) >> off) {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
 }
 
 impl RepairMechanism for FreeFault {
     fn name(&self) -> &'static str {
-        "FreeFault"
+        AddressMap::NAME
     }
 
     fn try_repair_with(&mut self, regions: &[FaultRegion], scratch: &mut PlanScratch) -> bool {
-        let need = self.lines_needed(regions);
-        if need > self.occ.budget_ceiling() {
-            freefault_metrics().record("FreeFault", RepairOutcome::RejectedCapacity, need);
-            return false;
-        }
-        // Stream blocks straight into the occupancy (see
-        // `RelaxFault::try_repair_with`).
-        let before = self.occ.lines_used();
-        self.occ.begin(scratch);
-        let Self {
-            dram,
-            dram_map,
-            llc,
-            deltas,
-            occ,
-        } = self;
-        let all = free_blocks_each(dram_map, dram, llc, deltas, regions, &mut |set, key| {
-            occ.offer(set, key, scratch)
-        });
-        let ok = occ.finish(all, scratch);
-        let outcome = if ok {
-            RepairOutcome::Accepted
-        } else {
-            RepairOutcome::RejectedConflict
-        };
-        freefault_metrics().record("FreeFault", outcome, self.occ.lines_used() - before);
-        ok
+        self.planner.try_repair_with(regions, scratch)
     }
 
     fn reset(&mut self) {
-        self.occ.reset();
+        self.planner.reset();
     }
 
     fn lines_used(&self) -> u64 {
-        self.occ.lines_used()
+        self.planner.lines_used()
     }
 
     fn bytes_used(&self) -> u64 {
-        self.occ.bytes_used()
+        self.planner.bytes_used()
     }
 
     fn max_ways_used(&self) -> u32 {
-        self.occ.max_used
+        self.planner.max_ways_used()
     }
 }
 
@@ -1413,6 +1615,56 @@ mod tests {
         ff.check_invariants().unwrap();
     }
 
+    #[test]
+    fn closed_form_admission_defers_its_write() {
+        let mut rf = RelaxFault::new(&dram(), &llc(), 4);
+        let cluster = region(Extent::RowCluster {
+            bank: 0,
+            row_start: 3,
+            row_count: 1000,
+        });
+        assert!(rf.try_repair(&[cluster]));
+        assert!(rf.planner.pending.is_some(), "decided in closed form");
+        assert_eq!(rf.planner.occ.lines_used(), 0, "nothing written yet");
+        assert_eq!(rf.lines_used(), 16_000);
+        rf.check_invariants().unwrap();
+        rf.reset();
+        assert!(rf.planner.pending.is_none(), "reset drops it unwritten");
+        assert_eq!((rf.lines_used(), rf.max_ways_used()), (0, 0));
+        assert!(rf.try_repair(&[cluster]));
+        let max_ways = rf.max_ways_used();
+        assert!(rf.try_repair(&[region(Extent::Row { bank: 1, row: 0 })]));
+        assert!(rf.planner.pending.is_none(), "a second offer writes it out");
+        assert_eq!(rf.planner.occ.lines_used(), 16_016);
+        assert!(rf.max_ways_used() >= max_ways);
+        rf.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn aligned_blocks_tile_the_range() {
+        let mut out = [(0, 0); MAX_BLOCKS];
+        let n = aligned_blocks(
+            IdxSet::Range {
+                start: 3,
+                count: 13,
+            },
+            &mut out,
+        );
+        assert_eq!(out[..n], [(3, 0), (4, 2), (8, 3)]);
+        let n = aligned_blocks(IdxSet::All { domain: 16 }, &mut out);
+        assert_eq!(out[..n], [(0, 4)]);
+        let n = aligned_blocks(IdxSet::One(5), &mut out);
+        assert_eq!(out[..n], [(5, 0)]);
+        let n = aligned_blocks(
+            IdxSet::Range {
+                start: 1,
+                count: u32::MAX,
+            },
+            &mut out,
+        );
+        assert_eq!(n, 32, "one block per bit of the unaligned start");
+    }
+
     // --- delta-table enumeration ---
 
     /// Extents chosen to cross every table boundary: the row low/high
@@ -1460,14 +1712,7 @@ mod tests {
         let ff = FreeFault::new(&d, &c, 16);
         let map = AddressMap::nehalem_like(&d, true);
         for r in delta_probe_regions() {
-            let mut scratch = PlanScratch::new();
-            ff.blocks(std::slice::from_ref(&r), &mut scratch);
-            let fast: Vec<(u64, u64)> = scratch
-                .cand_sets
-                .iter()
-                .zip(&scratch.cand_keys)
-                .map(|(&s, &k)| (s as u64, k))
-                .collect();
+            let fast = ff.planner.lines_of(std::slice::from_ref(&r));
             let mut naive = Vec::new();
             {
                 let rect = r.footprint(&d);
@@ -1502,18 +1747,12 @@ mod tests {
         let c = llc();
         for r in delta_probe_regions() {
             let rf = RelaxFault::new(&d, &c, 16);
-            let mut scratch = PlanScratch::new();
-            rf.lines_into(std::slice::from_ref(&r), &mut scratch);
-            let mut fast: Vec<(u64, u64)> = scratch
-                .cand_sets
-                .iter()
-                .zip(&scratch.cand_keys)
-                .map(|(&s, &k)| (s as u64, k))
-                .collect();
+            let mut fast = rf.planner.lines_of(std::slice::from_ref(&r));
             fast.sort_unstable();
+            let map = rf.mapping();
             let mut naive: Vec<(u64, u64)> = rf
                 .repair_lines(std::slice::from_ref(&r))
-                .map(|l| (rf.map.set_of(&l), rf.map.key_of(&l)))
+                .map(|l| (map.set_of(&l), map.key_of(&l)))
                 .collect();
             naive.sort_unstable();
             assert_eq!(fast, naive, "extent {:?}", r.extent);

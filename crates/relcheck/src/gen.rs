@@ -36,7 +36,7 @@ pub fn arb_corner_extent(src: &mut Source, cfg: &DramConfig) -> Extent {
             // Pin/column fault: one column address through 1..=4 whole
             // subarrays, aligned the way the sense-amp stripes fail.
             let spans = cfg.rows / cfg.subarray_rows;
-            let count = src.weighted(&[6, 2, 1]) as u32 + 1; // 1, 2, or 3
+            let count = src.weighted(&[6, 2, 1, 1]) as u32 + 1; // 1..=4
             let count = count.min(spans);
             let start = src.u32(0, spans - count);
             Extent::Column {

@@ -44,6 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Reference occupancy accounting: ordered maps, two passes. The check
 /// pass mutates nothing, so atomicity is trivially correct — no rollback
 /// to get wrong.
+#[derive(Clone)]
 pub struct NaiveOccupancy {
     max_ways: u32,
     line_bytes: u64,
@@ -134,6 +135,7 @@ impl NaiveOccupancy {
 
 /// Reference RelaxFault planner: every repair line encoded directly
 /// through [`RelaxMap`], one `repair_addr` per line.
+#[derive(Clone)]
 pub struct NaiveRelax {
     map: RelaxMap,
     dram: DramConfig,
@@ -202,6 +204,7 @@ impl NaiveRelax {
 
 /// Reference FreeFault planner: every faulty block encoded directly
 /// through the physical [`AddressMap`].
+#[derive(Clone)]
 pub struct NaiveFree {
     map: AddressMap,
     llc: CacheConfig,
@@ -413,12 +416,13 @@ fn compare_occupancy(
 }
 
 /// Full-state equality between the production RelaxFault planner and its
-/// reference, bit for bit.
+/// reference, bit for bit. Reading the production state writes out a
+/// pending closed-form admission, hence `&mut`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first diverging piece of state.
-pub fn compare_relax(prod: &RelaxFault, naive: &NaiveRelax) -> Result<(), String> {
+pub fn compare_relax(prod: &mut RelaxFault, naive: &NaiveRelax) -> Result<(), String> {
     compare_occupancy(
         prod.lines_used(),
         prod.bytes_used(),
@@ -435,7 +439,7 @@ pub fn compare_relax(prod: &RelaxFault, naive: &NaiveRelax) -> Result<(), String
 /// # Errors
 ///
 /// Returns a description of the first diverging piece of state.
-pub fn compare_free(prod: &FreeFault, naive: &NaiveFree) -> Result<(), String> {
+pub fn compare_free(prod: &mut FreeFault, naive: &NaiveFree) -> Result<(), String> {
     compare_occupancy(
         prod.lines_used(),
         prod.bytes_used(),
@@ -708,7 +712,7 @@ pub fn relax_oracle_property(src: &mut Source) -> PropResult {
         let a = prod.try_repair(offer);
         let b = naive.try_repair(offer);
         prop_assert_eq!(a, b, "verdict diverged for {offer:?}");
-        if let Err(e) = compare_relax(&prod, &naive) {
+        if let Err(e) = compare_relax(&mut prod, &naive) {
             prop_assert!(false, "state diverged after {offer:?}: {e}");
         }
         if let Err(e) = prod.check_invariants() {
@@ -734,7 +738,7 @@ pub fn free_oracle_property(src: &mut Source) -> PropResult {
         let a = prod.try_repair(offer);
         let b = naive.try_repair(offer);
         prop_assert_eq!(a, b, "verdict diverged for {offer:?}");
-        if let Err(e) = compare_free(&prod, &naive) {
+        if let Err(e) = compare_free(&mut prod, &naive) {
             prop_assert!(false, "state diverged after {offer:?}: {e}");
         }
         if let Err(e) = prod.check_invariants() {

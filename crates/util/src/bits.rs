@@ -191,18 +191,11 @@ impl BitMatrix {
     /// Rank of the matrix restricted to the `in_bits` low input columns.
     pub fn rank(&self, in_bits: u32) -> u32 {
         let m = mask(in_bits);
-        let mut basis: Vec<u64> = Vec::new();
+        let mut basis = EchelonBasis::new();
         for &row in &self.rows {
-            let mut v = row & m;
-            for &b in &basis {
-                v = v.min(v ^ b);
-            }
-            if v != 0 {
-                basis.push(v);
-                basis.sort_unstable_by(|a, b| b.cmp(a));
-            }
+            basis.insert(row & m);
         }
-        basis.len() as u32
+        basis.dim()
     }
 
     /// Whether the map is a bijection from `out_bits`-wide inputs to
@@ -219,22 +212,96 @@ impl BitMatrix {
     pub fn injective_on(&self, input_bits: &[u32]) -> bool {
         // Columns of the matrix restricted to the chosen inputs, expressed in
         // the output space; injectivity == columns linearly independent.
-        let mut basis: Vec<u64> = Vec::new();
-        for &bit in input_bits {
+        let mut basis = EchelonBasis::new();
+        input_bits.iter().all(|&bit| {
             let mut col = 0u64;
             for (i, &row) in self.rows.iter().enumerate() {
                 col |= ((row >> bit) & 1) << i;
             }
-            let mut v = col;
-            for &b in &basis {
-                v = v.min(v ^ b);
-            }
-            if v == 0 {
-                return false;
-            }
-            basis.push(v);
-            basis.sort_unstable_by(|a, b| b.cmp(a));
+            basis.insert(col)
+        })
+    }
+}
+
+/// The span of a set of vectors in GF(2)^64, kept in echelon form: at most
+/// one basis vector per leading bit. Fixed storage, so building and
+/// querying a span allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use relaxfault_util::bits::EchelonBasis;
+///
+/// let mut span = EchelonBasis::new();
+/// assert!(span.insert(0b0011));
+/// assert!(span.insert(0b0110));
+/// assert!(!span.insert(0b0101), "0b0101 = 0b0011 ^ 0b0110");
+/// assert_eq!(span.dim(), 2);
+/// assert!(span.contains(0b0101));
+/// assert!(!span.contains(0b0001));
+/// ```
+#[derive(Debug, Clone)]
+pub struct EchelonBasis {
+    /// `pivots[p]` is the basis vector whose highest set bit is `p`, or 0.
+    pivots: [u64; 64],
+    dim: u32,
+}
+
+impl Default for EchelonBasis {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl EchelonBasis {
+    /// The span of nothing: `{0}`.
+    pub fn new() -> Self {
+        Self {
+            pivots: [0; 64],
+            dim: 0,
         }
+    }
+
+    /// Dimension of the span.
+    pub fn dim(&self) -> u32 {
+        self.dim
+    }
+
+    /// Reduces `v` against the basis: the result keeps only bits at
+    /// positions no basis vector leads with. It is 0 exactly when `v` is in
+    /// the span, and two vectors reduce to the same value exactly when
+    /// their XOR is.
+    #[inline]
+    pub fn reduce(&self, mut v: u64) -> u64 {
+        let mut rest = 0;
+        while v != 0 {
+            let top = 63 - v.leading_zeros();
+            match self.pivots[top as usize] {
+                0 => {
+                    rest |= 1 << top;
+                    v ^= 1 << top;
+                }
+                b => v ^= b,
+            }
+        }
+        rest
+    }
+
+    /// Whether `v` is in the span.
+    #[inline]
+    pub fn contains(&self, v: u64) -> bool {
+        self.reduce(v) == 0
+    }
+
+    /// Adds `v` to the span. Returns whether the span grew, i.e. whether
+    /// `v` was independent of the vectors already inserted.
+    pub fn insert(&mut self, v: u64) -> bool {
+        let r = self.reduce(v);
+        if r == 0 {
+            return false;
+        }
+        self.pivots[(63 - r.leading_zeros()) as usize] = r;
+        self.dim += 1;
         true
     }
 }
@@ -313,6 +380,29 @@ mod tests {
         let m = BitMatrix::from_rows(3, &[0b001, 0b010, 0b011]);
         assert_eq!(m.rank(3), 2);
         assert!(!m.is_invertible());
+    }
+
+    #[test]
+    fn echelon_membership_known_answers() {
+        // Span of {e0 ^ e2, e1 ^ e2, e3}: every vector of bits 0..4 with an
+        // even number of bits in 0..3, with or without e3.
+        let mut span = EchelonBasis::new();
+        for v in [0b0101, 0b0110, 0b1000] {
+            assert!(span.insert(v));
+        }
+        assert!(!span.insert(0b0011), "e0 ^ e1 is already spanned");
+        assert_eq!(span.dim(), 3);
+        for v in [0, 0b0011, 0b0101, 0b0110, 0b1000, 0b1011, 0b1101, 0b1110] {
+            assert!(span.contains(v), "{v:#06b} is in the span");
+        }
+        for v in [0b0001, 0b0010, 0b0100, 0b0111, 0b1001, 0b1111, 1 << 63] {
+            assert!(!span.contains(v), "{v:#06b} is not in the span");
+        }
+        // Same coset, same reduction; different cosets, different ones.
+        assert_eq!(span.reduce(0b0001), span.reduce(0b0010));
+        assert_eq!(span.reduce(0b0001), span.reduce(0b1100));
+        assert_ne!(span.reduce(0b0001), span.reduce(1 << 63));
+        assert_eq!(EchelonBasis::new().reduce(0xABCD), 0xABCD);
     }
 
     #[test]
