@@ -46,6 +46,7 @@ use relaxfault_farm::{
 };
 use relaxfault_relcheck::replay::{load_any, replay, LoadedCase};
 use relaxfault_util::crashdump::CrashDump;
+use relaxfault_util::obs;
 use relaxfault_util::table::Table;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -173,7 +174,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         matrix_name: "figures".into(),
         matrix: FIGURES,
-        dir: PathBuf::from(std::env::var("RF_RESULTS_DIR").unwrap_or_else(|_| "results".into())),
+        dir: PathBuf::from(obs::results_dir()),
         jobs: 2,
         budget: None,
         scale: 1.0,

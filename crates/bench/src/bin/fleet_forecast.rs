@@ -5,7 +5,7 @@
 //! ```text
 //! fleet_forecast [NODES] [--epochs=N] [--shards=N] [--seed=N]
 //!                [--threads=N] [--ckpt-dir=PATH] [--resume]
-//!                [--query=NODES,NODES,...] [--profile]
+//!                [--query=NODES,NODES,...]
 //! ```
 //!
 //! `NODES` (positional, default 1,000,000) sizes the simulated fleet.
@@ -23,8 +23,6 @@
 //! epoch/shard progress, checkpoint lineage, and the forecast for each
 //! `--query` size), so a run can be followed from disk while it executes;
 //! `--quiet`/`RF_OBS=off` skip it like every other obs artifact.
-//! `--profile` is the shared harness flag (see
-//! `relaxfault_bench::obs_init`) that writes folded stacks at exit.
 //!
 //! Exit codes: 0 success, 1 usage error, 4 the run died (simulated crash
 //! or checkpoint failure) — a crash dump with the newest durable

@@ -18,6 +18,7 @@
 use relaxfault_bench::diff::diff_snapshots;
 use relaxfault_util::history::Ledger;
 use relaxfault_util::json::Value;
+use relaxfault_util::obs;
 use std::process::ExitCode;
 
 fn load(path: &str) -> Result<Value, String> {
@@ -25,14 +26,10 @@ fn load(path: &str) -> Result<Value, String> {
     Value::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e:?}"))
 }
 
-fn results_dir() -> String {
-    std::env::var("RF_RESULTS_DIR").unwrap_or_else(|_| "results".into())
-}
-
 /// Resolves the ledger form: the newest ledgered run's snapshot as
 /// current, `results/baselines/<run>.json` as its baseline.
 fn latest_vs_baseline() -> Result<(String, String), String> {
-    let dir = results_dir();
+    let dir = obs::results_dir();
     let path = Ledger::default_path(&dir);
     let ledger = Ledger::load(&path)?;
     let run = &ledger

@@ -4,7 +4,6 @@
 //! obs_report ingest [--results DIR]
 //! obs_report report [--results DIR] [--ledger PATH] [--out PATH] [--check] [--rotate]
 //! obs_report extend --series NAME --factor F --count N [--ledger PATH] [--results DIR]
-//! obs_report folded-diff <before.folded> <after.folded> [--top N]
 //! obs_report farm [--results DIR] [--check]
 //! ```
 //!
@@ -23,8 +22,6 @@
 //!   carrying `--series`, with that median multiplied by `--factor` —
 //!   the injection harness the CI history gate uses to prove the
 //!   detector catches a 2× regression.
-//! * `folded-diff` joins two profiler `.folded` files into a per-frame
-//!   self-time delta table, biggest movers first.
 //! * `farm` renders the figure-farm dashboard: the `farm_state` ledger
 //!   plus every job manifest under `<results>/farm/jobs/`, one row per
 //!   job (role, status, attempts, cost, repro archive), mirrored to
@@ -34,19 +31,18 @@
 //! Exit codes: `0` clean, `1` regression found by `--check`, `2` usage
 //! or I/O error — the same contract as `obs_diff`.
 
-use relaxfault_bench::{folded, report};
+use relaxfault_bench::report;
 use relaxfault_farm::{FarmLedger, JobManifest, JobStatus};
 use relaxfault_util::history::Ledger;
 use relaxfault_util::json::Value;
+use relaxfault_util::obs;
 use relaxfault_util::persist::{self, Persist};
 use relaxfault_util::table::Table;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn results_dir(flag: &Option<String>) -> String {
-    flag.clone()
-        .or_else(|| std::env::var("RF_RESULTS_DIR").ok())
-        .unwrap_or_else(|| "results".into())
+    flag.clone().unwrap_or_else(obs::results_dir)
 }
 
 struct Flags {
@@ -56,10 +52,8 @@ struct Flags {
     series: Option<String>,
     factor: f64,
     count: usize,
-    top: usize,
     check: bool,
     rotate: bool,
-    positional: Vec<String>,
 }
 
 fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
@@ -70,10 +64,8 @@ fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
         series: None,
         factor: 2.0,
         count: 3,
-        top: usize::MAX,
         check: false,
         rotate: false,
-        positional: Vec::new(),
     };
     let mut args = args.peekable();
     while let Some(a) = args.next() {
@@ -95,15 +87,9 @@ fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| "--count needs an integer")?;
             }
-            "--top" => {
-                f.top = value("--top")?
-                    .parse()
-                    .map_err(|_| "--top needs an integer")?;
-            }
             "--check" => f.check = true,
             "--rotate" => f.rotate = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
-            p => f.positional.push(p.to_string()),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
     Ok(f)
@@ -290,27 +276,10 @@ fn farm_report(f: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn folded_diff(f: &Flags) -> Result<ExitCode, String> {
-    let [before_path, after_path] = f.positional.as_slice() else {
-        return Err("folded-diff needs exactly two .folded paths".into());
-    };
-    let read = |p: &String| {
-        std::fs::read_to_string(p)
-            .map_err(|e| format!("cannot read {p}: {e}"))
-            .and_then(|t| folded::parse(&t).map_err(|e| format!("{p}: {e}")))
-    };
-    let before = read(before_path)?;
-    let after = read(after_path)?;
-    let mut rows = folded::diff(&before, &after);
-    rows.truncate(f.top);
-    print!("{}", folded::render(&rows));
-    Ok(ExitCode::SUCCESS)
-}
-
 fn run() -> Result<ExitCode, String> {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().ok_or(
-        "usage: obs_report <ingest|report|extend|folded-diff|farm> [flags]\n\
+        "usage: obs_report <ingest|report|extend|farm> [flags]\n\
          see the module docs (or DESIGN.md §6.2) for the flag list",
     )?;
     let f = parse_flags(args)?;
@@ -318,7 +287,6 @@ fn run() -> Result<ExitCode, String> {
         "ingest" => ingest(&f),
         "report" => run_report(&f),
         "extend" => extend(&f),
-        "folded-diff" => folded_diff(&f),
         "farm" => farm_report(&f),
         other => Err(format!("unknown subcommand {other:?}")),
     }

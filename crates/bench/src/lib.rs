@@ -13,14 +13,12 @@
 
 use relaxfault_relsim::engine::{fault_population, run_scenarios, RunConfig};
 use relaxfault_relsim::scenario::{Mechanism, ReplacementPolicy, Scenario};
-use relaxfault_util::export;
 use relaxfault_util::json::Value;
 use relaxfault_util::table::{format_bytes, format_pct, Table};
-use relaxfault_util::{crashdump, history, obs, persist, profiler};
+use relaxfault_util::{crashdump, history, obs};
 use std::sync::OnceLock;
 
 pub mod diff;
-pub mod folded;
 pub mod perf;
 pub mod report;
 
@@ -34,7 +32,6 @@ static RUN_OVERRIDE: OnceLock<String> = OnceLock::new();
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     work: Option<u64>,
-    profiling: bool,
 }
 
 impl BenchArgs {
@@ -42,12 +39,6 @@ impl BenchArgs {
     /// numeric argument, or `default` when none was given.
     pub fn work(&self, default: u64) -> u64 {
         self.work.unwrap_or(default)
-    }
-
-    /// Whether the span profiler is collecting (`--profile` / `RF_PROF`);
-    /// [`obs_finish`] will write `<run>.folded`.
-    pub fn profiling(&self) -> bool {
-        self.profiling
     }
 }
 
@@ -57,12 +48,9 @@ impl BenchArgs {
 ///   `util::obs` itself) turns every trace/metric off regardless of
 ///   `RF_TRACE`;
 /// * `--run NAME` (or `--run=NAME`, or `RF_RUN_NAME` in the environment)
-///   overrides the run name [`emit`] uses for the obs snapshot, trace, and
-///   Prometheus files — this is how CI writes `drift_a`/`drift_b` from the
-///   same binary;
-/// * `--profile` (or `RF_PROF=on`) starts the self-sampling span profiler
-///   at `RF_PROF_HZ` (default 997 Hz); [`obs_finish`] writes the folded
-///   stacks to `<results>/obs/<run>.folded`;
+///   overrides the run name [`emit`] uses for the obs snapshot and event
+///   files — this is how CI writes `drift_a`/`drift_b` from the same
+///   binary;
 /// * `--lanes scalar|u64|u128` (or `RF_LANES` in the environment) pins the
 ///   engine's trial-lane mode; the choice is recorded in the run manifest
 ///   so history series stay comparable per lane configuration. An invalid
@@ -79,7 +67,6 @@ pub fn obs_init() -> BenchArgs {
     let mut parsed = BenchArgs::default();
     let mut run = None;
     let mut lanes_spec: Option<String> = None;
-    let mut profile = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--quiet" || a == "-q" {
@@ -88,8 +75,6 @@ pub fn obs_init() -> BenchArgs {
             run = args.next();
         } else if let Some(r) = a.strip_prefix("--run=") {
             run = Some(r.to_string());
-        } else if a == "--profile" {
-            profile = true;
         } else if a == "--lanes" {
             lanes_spec = args.next();
         } else if let Some(l) = a.strip_prefix("--lanes=") {
@@ -121,19 +106,6 @@ pub fn obs_init() -> BenchArgs {
             }
         }
     }
-    if !profile {
-        profile = std::env::var("RF_PROF")
-            .map(|v| matches!(v.to_ascii_lowercase().as_str(), "on" | "1" | "true"))
-            .unwrap_or(false);
-    }
-    if profile {
-        let hz = std::env::var("RF_PROF_HZ")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(profiler::DEFAULT_HZ);
-        profiler::start(hz);
-        parsed.profiling = true;
-    }
     if !obs::is_force_off() {
         crashdump::install_panic_hook(&current_run_name());
     }
@@ -142,7 +114,7 @@ pub fn obs_init() -> BenchArgs {
 
 /// The run name for the current process: `--run` / `RF_RUN_NAME` if given,
 /// else the binary's file stem. This is what the panic hook, crash dumps,
-/// and `obs_finish`'s folded profile file under.
+/// and [`obs_finish`]'s ledger entry file under.
 pub fn current_run_name() -> String {
     let default = std::env::args()
         .next()
@@ -159,9 +131,7 @@ pub fn current_run_name() -> String {
 
 /// Standard harness shutdown, called last in every `fig*`/`table*` main:
 /// appends the run's metrics snapshot to the perf-history ledger
-/// (`<results>/history/ledger.jsonl`), harvests the span profiler into
-/// `<results>/obs/<run>.folded`. A no-op when neither metrics nor the
-/// profiler is active.
+/// (`<results>/history/ledger.jsonl`). A no-op while metrics are off.
 pub fn obs_finish() {
     if obs::metrics_enabled() {
         let run = current_run_name();
@@ -177,21 +147,6 @@ pub fn obs_finish() {
                 Ok(true) => println!("history: ledgered run {run}"),
                 Ok(false) => {}
                 Err(e) => eprintln!("history append failed: {e}"),
-            }
-        }
-    }
-    if profiler::active() {
-        let folded = profiler::stop();
-        if folded.is_empty() {
-            eprintln!("profiler captured no samples");
-        } else {
-            let run = current_run_name();
-            let path = std::path::Path::new(&obs::results_dir())
-                .join("obs")
-                .join(format!("{run}.folded"));
-            match persist::atomic_write(&path, &folded) {
-                Ok(()) => println!("profile: {}", path.display()),
-                Err(e) => eprintln!("profile write failed: {e}"),
             }
         }
     }
@@ -218,14 +173,14 @@ fn run_name(default: &str) -> String {
 /// Prints a table to stdout and mirrors it (plus CSV and JSON) into the
 /// results directory (`RF_RESULTS_DIR`, default `results/`). When
 /// observability is enabled, the run's metrics snapshot (with its
-/// manifest), a Prometheus text exposition (`<run>.prom`), and — if any
-/// events were captured by the `RF_TRACE` filter — a Perfetto-loadable
-/// Chrome trace (`<run>.trace.json`) land under `<dir>/obs/`.
+/// manifest) lands under `<dir>/obs/`, and so does `<run>.events.json`
+/// when the `RF_TRACE` filter captured events: the drained merged stream
+/// in the [`obs::events_to_json`] encoding crash dumps use.
 pub fn emit(name: &str, title: &str, table: &Table) {
     println!("== {title} ==");
     print!("{}", table.render());
     println!();
-    let dir = std::env::var("RF_RESULTS_DIR").unwrap_or_else(|_| "results".into());
+    let dir = obs::results_dir();
     if std::fs::create_dir_all(&dir).is_ok() {
         let _ = std::fs::write(
             format!("{dir}/{name}.txt"),
@@ -245,16 +200,13 @@ pub fn emit(name: &str, title: &str, table: &Table) {
             Ok(path) => println!("obs snapshot: {path}"),
             Err(e) => eprintln!("obs snapshot failed: {e}"),
         }
-        if std::fs::create_dir_all(format!("{dir}/obs")).is_ok() {
-            let _ = std::fs::write(format!("{dir}/obs/{run}.prom"), export::prometheus_text());
-        }
     }
     let events = obs::drain_events();
     if !events.is_empty() && std::fs::create_dir_all(format!("{dir}/obs")).is_ok() {
-        let path = format!("{dir}/obs/{run}.trace.json");
-        match std::fs::write(&path, export::chrome_trace(&events).to_pretty()) {
-            Ok(()) => println!("trace: {path}"),
-            Err(e) => eprintln!("trace export failed: {e}"),
+        let path = format!("{dir}/obs/{run}.events.json");
+        match std::fs::write(&path, obs::events_to_json(&events).to_pretty()) {
+            Ok(()) => println!("events: {path}"),
+            Err(e) => eprintln!("events write failed: {e}"),
         }
     }
 }

@@ -164,7 +164,7 @@ impl Persist for JobManifest {
                     .ok_or_else(|| "deps entries must be strings".to_string())
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(JobManifest {
+        let manifest = JobManifest {
             id: str_field("id")?,
             digest: persist::parse_hex_field(v, "digest")?,
             role: JobRole::parse(&str_field("role")?)?,
@@ -174,7 +174,11 @@ impl Persist for JobManifest {
             cost: persist::parse_u64_field(v, "cost")?,
             reason: v.get("reason").and_then(Value::as_str).map(str::to_string),
             repro: v.get("repro").and_then(Value::as_str).map(str::to_string),
-        })
+        };
+        if manifest.status == JobStatus::Failed && manifest.reason.is_none() {
+            return Err("failed manifest carries no reason".into());
+        }
+        Ok(manifest)
     }
 }
 
@@ -254,6 +258,14 @@ impl Persist for FarmLedger {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        // `entry` and `record` binary-search by id, so an unsorted ledger
+        // would resume with wrong lookups.
+        if jobs.is_empty() {
+            return Err("farm_state ledger records no jobs".into());
+        }
+        if !jobs.windows(2).all(|w| w[0].id < w[1].id) {
+            return Err("farm_state jobs are not strictly sorted by id".into());
+        }
         Ok(FarmLedger {
             spec_digest: persist::parse_hex_field(v, "spec_digest")?,
             jobs,
@@ -369,6 +381,36 @@ mod tests {
         assert_eq!(ledger.entry("b").unwrap().status, JobStatus::Ok);
         let parsed = FarmLedger::parse_str(&ledger.to_json().to_pretty()).unwrap();
         assert_eq!(parsed, ledger);
+    }
+
+    #[test]
+    fn invariants_are_enforced_on_load() {
+        let silent = JobManifest {
+            reason: None,
+            ..manifest()
+        };
+        let err = JobManifest::parse_str(&silent.to_json().to_pretty()).unwrap_err();
+        assert!(err.contains("no reason"), "{err}");
+
+        let entry = |id: &str| LedgerEntry {
+            id: id.into(),
+            digest: 7,
+            role: JobRole::Job,
+            status: JobStatus::Ok,
+            attempts: 1,
+        };
+        for (jobs, why) in [
+            (vec![], "no jobs"),
+            (vec![entry("b"), entry("a")], "not strictly sorted"),
+            (vec![entry("a"), entry("a")], "not strictly sorted"),
+        ] {
+            let ledger = FarmLedger {
+                spec_digest: 1,
+                jobs,
+            };
+            let err = FarmLedger::parse_str(&ledger.to_json().to_pretty()).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -450,6 +450,9 @@ impl Persist for FleetCheckpoint {
             shard_digests,
             shard_metrics,
         };
+        if ckpt.scenarios.is_empty() {
+            return Err("fleet checkpoint carries no scenario arms".into());
+        }
         if ckpt.shard_digests.len() != ckpt.shards as usize {
             return Err(format!(
                 "shard_digests has {} entries for {} shards",
@@ -840,8 +843,8 @@ impl FleetSim {
         };
 
         let dirty_before = self.dirty_evals();
-        // The span feeds the epoch histogram and the profiler; the gauges
-        // record within-epoch progress while workers are still running.
+        // The span feeds the epoch histogram; the gauges record
+        // within-epoch progress while workers are still running.
         let _epoch_span = obs::span("relsim.fleet.epoch_ns");
         obs::gauge("fleet.current_epoch").set(epoch as f64);
         let shards_done_gauge = obs::gauge("fleet.epoch_shards_done");

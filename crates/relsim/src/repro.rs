@@ -25,6 +25,7 @@
 use crate::scenario::Scenario;
 use relaxfault_faults::NodeFaults;
 use relaxfault_util::json::Value;
+use relaxfault_util::obs;
 use relaxfault_util::persist::{self, Persist};
 use std::path::PathBuf;
 
@@ -119,7 +120,9 @@ impl Persist for ReproCase {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or malformed field.
+    /// Returns a description of the first missing or malformed field,
+    /// and rejects a case with an empty reason or with neither scenarios
+    /// nor a choice stream (nothing to replay).
     fn from_json(v: &Value) -> Result<Self, String> {
         let version = Self::check_header(v)?;
         let field = |k: &str| v.get(k).ok_or_else(|| format!("missing {k}"));
@@ -146,7 +149,7 @@ impl Persist for ReproCase {
             .iter()
             .map(|c| persist::parse_hex(c).ok_or_else(|| "choices must be hex strings".to_string()))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
+        let case = Self {
             case: field("case")?
                 .as_str()
                 .ok_or("case must be a string")?
@@ -162,7 +165,14 @@ impl Persist for ReproCase {
             scenarios,
             digest,
             prop_choices,
-        })
+        };
+        if case.reason.is_empty() {
+            return Err("repro case has an empty reason".into());
+        }
+        if case.scenarios.is_empty() && case.prop_choices.is_empty() {
+            return Err("repro case carries neither scenarios nor a choice stream".into());
+        }
+        Ok(case)
     }
 }
 
@@ -192,11 +202,12 @@ impl ReproCase {
     /// Panics if the directory or file cannot be written — a repro that
     /// silently fails to persist defeats its purpose.
     pub fn write(&self) -> PathBuf {
-        let base = std::env::var("RF_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-        let path = PathBuf::from(base).join("relcheck").join(format!(
-            "{}_s{:x}_t{}_g{}.json",
-            self.case, self.seed, self.trial, self.group
-        ));
+        let path = PathBuf::from(obs::results_dir())
+            .join("relcheck")
+            .join(format!(
+                "{}_s{:x}_t{}_g{}.json",
+                self.case, self.seed, self.trial, self.group
+            ));
         self.save(&path).expect("write repro case");
         path
     }
@@ -275,6 +286,23 @@ mod tests {
         pairs.retain(|(k, _)| k != "epoch");
         let err = ReproCase::from_json(&Value::Object(pairs)).unwrap_err();
         assert!(err.contains("epoch"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_cases_with_nothing_to_replay() {
+        let silent = ReproCase {
+            reason: String::new(),
+            ..sample_case()
+        };
+        let err = ReproCase::parse_str(&silent.to_json().to_pretty()).unwrap_err();
+        assert!(err.contains("empty reason"), "{err}");
+        let empty = ReproCase {
+            scenarios: vec![],
+            prop_choices: vec![],
+            ..sample_case()
+        };
+        let err = ReproCase::parse_str(&empty.to_json().to_pretty()).unwrap_err();
+        assert!(err.contains("neither scenarios"), "{err}");
     }
 
     #[test]

@@ -130,15 +130,20 @@ fn corrupted_checkpoints_are_rejected_with_context() {
 fn structurally_inconsistent_checkpoints_are_rejected() {
     prop::check(48, |src| {
         let mut ckpt = arb_checkpoint(src);
-        match src.usize(0, 3) {
+        match src.usize(0, 4) {
             0 => ckpt.shard_digests.push(src.u64(0, u64::MAX)),
             1 => {
                 ckpt.shard_metrics.pop();
             }
             2 => ckpt.completed_epochs = ckpt.epochs + 1,
-            _ => {
+            3 => {
                 // An arm-count mismatch inside one shard's metrics.
                 ckpt.shard_metrics[0].push(FleetMetrics::default());
+            }
+            _ => {
+                // Consistent, but with no arm to resume.
+                ckpt.scenarios.clear();
+                ckpt.shard_metrics.iter_mut().for_each(Vec::clear);
             }
         }
         let text = ckpt.to_json().to_pretty();

@@ -267,8 +267,8 @@ pub struct IngestReport {
     pub added: usize,
     /// Snapshots whose entries were already present (idempotent skips).
     pub duplicate: usize,
-    /// Files under `obs/` that are not ingestable snapshots (traces,
-    /// crash dumps, repro cases, …), with the reason each was skipped.
+    /// Files under `obs/` that are not ingestable snapshots (crash
+    /// dumps, repro cases, …), with the reason each was skipped.
     pub skipped: Vec<(PathBuf, String)>,
 }
 
@@ -377,9 +377,10 @@ impl Ledger {
     }
 
     /// Ingests every metrics snapshot under `<results_dir>/obs/` into the
-    /// ledger at [`Ledger::default_path`]. Non-snapshot artifacts
-    /// (traces, crash dumps, repro cases, Prometheus text, folded
-    /// profiles) are skipped and listed in the report; snapshots already
+    /// ledger at [`Ledger::default_path`]. Event streams
+    /// (`<run>.events.json`) and non-JSON files are passed over; other
+    /// non-snapshot artifacts (crash dumps, repro cases, progress
+    /// documents) are skipped and listed in the report; snapshots already
     /// ledgered count as duplicates. Running this twice over an unchanged
     /// tree leaves the ledger file byte-identical.
     ///
@@ -404,7 +405,7 @@ impl Ledger {
                 .file_name()
                 .and_then(|n| n.to_str())
                 .unwrap_or_default();
-            if !name.ends_with(".json") || name.ends_with(".trace.json") {
+            if !name.ends_with(".json") || name.ends_with(".events.json") {
                 continue; // not snapshot-shaped; other validators own these
             }
             let parsed = std::fs::read_to_string(&path)
@@ -692,8 +693,9 @@ mod tests {
             )
             .expect("write snapshot");
         }
-        // Non-snapshot artifacts are skipped, not fatal.
-        std::fs::write(dir.join("obs/run_a.prom"), "# TYPE x counter\n").expect("write");
+        // Non-snapshot artifacts are skipped, not fatal; event streams
+        // are not even reported.
+        std::fs::write(dir.join("obs/run_a.events.json"), "[]").expect("write");
         std::fs::write(dir.join("obs/junk.json"), "{\"kind\": \"crash_dump\"}").expect("write");
 
         let (ledger, report) = Ledger::ingest_dir(results).expect("first ingest");

@@ -210,7 +210,7 @@ impl Value {
         let bytes = text.as_bytes();
         let mut pos = 0;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError::at(pos, "trailing characters after document"));
@@ -312,9 +312,19 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting would let a corrupt file
+/// overflow the stack; the deepest document the workspace writes (a crash
+/// dump embedding a fleet checkpoint) nests 6 levels.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     match bytes.get(*pos) {
         None => Err(ParseError::at(*pos, "unexpected end of input")),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(ParseError::at(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
         Some(b'n') => expect(bytes, pos, "null").map(|_| Value::Null),
         Some(b't') => expect(bytes, pos, "true").map(|_| Value::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|_| Value::Bool(false)),
@@ -329,7 +339,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -358,7 +368,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 }
                 *pos += 1;
                 skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -400,33 +410,29 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        let hi = hex4(bytes, *pos + 1)
                             .ok_or_else(|| ParseError::at(*pos, "bad \\u escape"))?;
-                        // Surrogate pairs: the results files never contain
-                        // them, but accept the standard encoding anyway.
-                        let c = if (0xD800..0xDC00).contains(&hex) {
-                            *pos += 5;
-                            expect(bytes, pos, "\\u")?;
-                            *pos -= 2; // expect advanced past `\u`; re-center on hex
-                            let low = bytes
-                                .get(*pos + 2..*pos + 6)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| ParseError::at(*pos, "bad low surrogate"))?;
-                            *pos += 1;
-                            let combined =
-                                0x10000 + ((hex - 0xD800) << 10) + (low.wrapping_sub(0xDC00));
-                            char::from_u32(combined)
-                                .ok_or_else(|| ParseError::at(*pos, "bad surrogate pair"))?
-                        } else {
-                            char::from_u32(hex)
-                                .ok_or_else(|| ParseError::at(*pos, "bad \\u escape"))?
-                        };
-                        out.push(c);
                         *pos += 4;
+                        // Surrogate pairs: the results files never contain
+                        // them, but accept the standard encoding. A high
+                        // surrogate must be followed by `\u` and a low one.
+                        let code = if (0xD800..0xDC00).contains(&hi) {
+                            let lo = bytes
+                                .get(*pos + 1..*pos + 3)
+                                .filter(|esc| *esc == b"\\u")
+                                .and_then(|_| hex4(bytes, *pos + 3))
+                                .filter(|lo| (0xDC00..0xE000).contains(lo))
+                                .ok_or_else(|| ParseError::at(*pos, "unpaired high surrogate"))?;
+                            *pos += 6;
+                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                        } else {
+                            hi
+                        };
+                        // Lone low surrogates are not scalar values.
+                        out.push(
+                            char::from_u32(code)
+                                .ok_or_else(|| ParseError::at(*pos, "bad \\u escape"))?,
+                        );
                     }
                     _ => return Err(ParseError::at(*pos, "bad escape")),
                 }
@@ -444,6 +450,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
             }
         }
     }
+}
+
+/// The code unit spelled by the four hex digits at `bytes[at..at + 4]`.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let digits = bytes.get(at..at + 4)?;
+    if !digits.iter().all(u8::is_ascii_hexdigit) {
+        return None;
+    }
+    u32::from_str_radix(std::str::from_utf8(digits).ok()?, 16).ok()
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
@@ -526,6 +541,37 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn unpaired_surrogates_are_errors() {
+        assert_eq!(
+            Value::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("\u{1F600}")
+        );
+        for bad in [
+            r#""\ud800\u0041""#, // high surrogate, then a non-surrogate
+            r#""\ud800\ud800""#, // high surrogate, then another high one
+            r#""\ud800x""#,      // high surrogate, then no escape
+            r#""\ud800""#,       // high surrogate at the end of the string
+            r#""\ud800\u00""#,   // truncated low escape
+            r#""\udc00""#,       // lone low surrogate
+            r#""\u+041""#,       // sign in the hex digits
+        ] {
+            assert!(Value::parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Value::parse(&objects).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Value::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -28,16 +28,11 @@
 //!   bounded per-thread rings with a deterministic merged stream, a
 //!   metrics registry (counters, gauges, log-linear histograms), RAII span
 //!   timers, and text/JSON sinks, all gated to be free when disabled.
-//! * [`export`] — exporters from the [`obs`] model to external tool
-//!   formats: Chrome trace-event JSON (Perfetto-loadable) and Prometheus
-//!   text exposition, both built on the in-repo JSON/text code.
 //! * [`crashdump`] — copies the trace rings, metrics, and manifest into a
 //!   schema-versioned `crash_dump` artifact on panic or injected crash,
 //!   with the newest durable fleet checkpoint embedded for replay.
 //! * [`history`] — the append-only cross-run perf-history ledger, the
 //!   workspace's one run registry.
-//! * [`profiler`] — a self-sampling span profiler emitting
-//!   flamegraph-folded stacks (`<run>.folded`) with no external tooling.
 //! * [`hash`] — a fast deterministic (non-cryptographic) hasher plus
 //!   `HashMap`/`HashSet` aliases for hot-loop lookups.
 //! * [`stats`] — streaming summaries, empirical CDFs, and binomial confidence
@@ -61,14 +56,12 @@
 pub mod bits;
 pub mod crashdump;
 pub mod dist;
-pub mod export;
 pub mod hash;
 pub mod history;
 pub mod json;
 pub mod lanes;
 pub mod obs;
 pub mod persist;
-pub mod profiler;
 pub mod prop;
 pub mod rng;
 pub mod stats;

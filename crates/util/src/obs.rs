@@ -29,9 +29,7 @@
 //!   reporter and the [`crate::history`] ledger consume exactly this
 //!   metadata).
 //!   Simulators publish their parameters through [`note_run_context`];
-//!   bench harnesses publish medians through [`record_bench`]. External
-//!   tool formats (Perfetto traces, Prometheus exposition) are produced by
-//!   [`crate::export`] from [`drain_events`] and [`metric_snaps`].
+//!   bench harnesses publish medians through [`record_bench`].
 //!
 //! # Gating and cost when disabled
 //!
@@ -749,9 +747,6 @@ const HIST_BUCKETS: usize = 256;
 const HIST_LINEAR_MAX: u64 = 16;
 
 struct HistInner {
-    /// Registered name, interned for the process lifetime so span events
-    /// and profiler frames can carry it as a `&'static str`.
-    name: &'static str,
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
@@ -834,19 +829,13 @@ impl Histogram {
         self.max()
     }
 
-    /// The name this histogram was registered under (interned).
-    pub fn name(&self) -> &'static str {
-        self.inner.name
-    }
-
     /// Starts an RAII timer that records elapsed nanoseconds into this
-    /// histogram on drop. Free (no clock read) while metrics are disabled
-    /// and the profiler is idle — both gates are one relaxed load each.
+    /// histogram on drop. Free (no clock read) while metrics are
+    /// disabled: the gate is one relaxed load.
     #[inline]
     pub fn start_span(&self) -> SpanTimer {
         SpanTimer {
             hist: metrics_enabled().then(|| (self.clone(), Instant::now())),
-            pushed: crate::profiler::enter(self.inner.name),
         }
     }
 }
@@ -854,17 +843,12 @@ impl Histogram {
 /// Scoped timer from [`Histogram::start_span`] / [`span`].
 pub struct SpanTimer {
     hist: Option<(Histogram, Instant)>,
-    /// Whether this span was pushed onto the profiler's stack.
-    pushed: bool,
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
         if let Some((hist, start)) = self.hist.take() {
             hist.record(start.elapsed().as_nanos() as u64);
-        }
-        if self.pushed {
-            crate::profiler::exit();
         }
     }
 }
@@ -927,11 +911,7 @@ pub fn histogram(name: &str) -> Histogram {
     with_registry(
         name,
         || {
-            // Interned for the process lifetime: the registry never drops
-            // entries, so leaking the name once per histogram is bounded.
-            let interned: &'static str = Box::leak(name.to_string().into_boxed_str());
             Metric::Histogram(Arc::new(HistInner {
-                name: interned,
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 max: AtomicU64::new(0),
@@ -1173,69 +1153,6 @@ pub fn record_bench(name: &str, median_ns: f64, iters: u64, batch_ns: &[f64]) {
 /// Every bench record published so far, in publication order.
 pub fn bench_records() -> Vec<BenchRecord> {
     global().benches.lock().expect("bench records").clone()
-}
-
-/// One metric's current state, for exporters (see [`metric_snaps`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricSnap {
-    /// A counter's value.
-    Counter(u64),
-    /// A gauge's value.
-    Gauge(f64),
-    /// A histogram's totals plus its non-empty buckets.
-    Histogram {
-        /// Values recorded.
-        count: u64,
-        /// Sum of recorded values.
-        sum: u64,
-        /// Largest recorded value (exact).
-        max: u64,
-        /// `(inclusive upper bound, count)` per non-empty bucket in
-        /// ascending order; `None` marks the unbounded last bucket.
-        buckets: Vec<(Option<u64>, u64)>,
-    },
-}
-
-/// Reads every registered metric, sorted by name — the exporter-facing
-/// view of the registry (Prometheus exposition is built from exactly
-/// this; see [`crate::export::prometheus_text`]).
-pub fn metric_snaps() -> Vec<(String, MetricSnap)> {
-    let metrics = global().metrics.lock().expect("metrics registry");
-    let mut out: Vec<(String, MetricSnap)> = metrics
-        .iter()
-        .map(|(name, m)| {
-            let snap = match m {
-                Metric::Counter(c) => MetricSnap::Counter(c.load(Ordering::Relaxed)),
-                Metric::Gauge(bits) => {
-                    MetricSnap::Gauge(f64::from_bits(bits.load(Ordering::Relaxed)))
-                }
-                Metric::Histogram(h) => {
-                    let buckets = h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(idx, b)| {
-                            let n = b.load(Ordering::Relaxed);
-                            if n == 0 {
-                                return None;
-                            }
-                            let le = (idx + 1 < HIST_BUCKETS).then(|| bucket_floor(idx + 1) - 1);
-                            Some((le, n))
-                        })
-                        .collect();
-                    MetricSnap::Histogram {
-                        count: h.count.load(Ordering::Relaxed),
-                        sum: h.sum.load(Ordering::Relaxed),
-                        max: h.max.load(Ordering::Relaxed),
-                        buckets,
-                    }
-                }
-            };
-            (name.clone(), snap)
-        })
-        .collect();
-    out.sort_by(|(a, _), (b, _)| a.cmp(b));
-    out
 }
 
 // ---------------------------------------------------------------------------

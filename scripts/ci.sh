@@ -69,10 +69,10 @@ cargo run --release -q -p relaxfault-relcheck --bin relcheck -- lane-matrix \
     --trials 4000 --out results/ci/lane_matrix_verdict.json \
     || { echo "lane-matrix gate: lane modes diverged" >&2; exit 7; }
 
-# Fleet checkpoint/resume determinism gate: a profiled 1M-node fleet over
-# 20 epochs runs to completion once; it must leave a progress document
-# reporting completion with a forecast section, and a non-empty folded
-# profile naming relsim spans. The same fleet is then killed mid-epoch by
+# Fleet checkpoint/resume determinism gate: a 1M-node fleet over 20
+# epochs runs to completion once; it must leave a progress document
+# reporting completion with a forecast section, and a snapshot recording
+# all 20 completed epochs. The same fleet is then killed mid-epoch by
 # the RF_FLEET_CRASH_AT hook (the kill must actually fire), resumed from
 # the surviving checkpoints, and the resumed run's obs snapshot must be a
 # zero-delta obs_diff match of the uninterrupted one — counters are exact,
@@ -82,16 +82,14 @@ cargo run --release -q -p relaxfault-relcheck --bin relcheck -- lane-matrix \
 rm -rf results/ci/fleet_ckpt
 RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=fleet_full \
     cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
-    1000000 --epochs=20 --profile
+    1000000 --epochs=20
 progress=results/ci/obs/fleet_full.progress.json
 grep -q '"status": "complete"' "$progress" \
     || { echo "fleet gate: progress document never reached complete" >&2; exit 4; }
 grep -q '"forecast"' "$progress" \
     || { echo "fleet gate: progress document has no forecast" >&2; exit 4; }
-folded=results/ci/obs/fleet_full.folded
-[ -s "$folded" ] || { echo "fleet gate: no folded profile written" >&2; exit 4; }
-grep -q "relsim" "$folded" \
-    || { echo "fleet gate: folded profile names no relsim spans" >&2; exit 4; }
+grep -Eq '"fleet\.epochs_completed": 20,?$' results/ci/obs/fleet_full.json \
+    || { echo "fleet gate: snapshot does not record 20 completed epochs" >&2; exit 4; }
 if RF_OBS=on RF_RESULTS_DIR=results/ci RF_FLEET_CRASH_AT=mid:13 \
     cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
     1000000 --epochs=20 --ckpt-dir=results/ci/fleet_ckpt >/dev/null 2>&1; then
@@ -110,8 +108,9 @@ cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/fleet_c
 
 # Crash-dump gate: a mid-epoch injected crash with checkpointing on must
 # leave a crash dump whose embedded checkpoint `relcheck replay` proves
-# bit-exact, and the dump must satisfy the strict schema validator — while
-# a truncated copy of the same dump must be rejected.
+# bit-exact, whose snapshot times every epoch span the run entered (0..=7),
+# and which satisfies the strict schema validator — while a truncated copy
+# of the same dump must be rejected.
 rm -rf results/ci/crash_ckpt results/ci/crash_truncated
 if RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=crash_small RF_FLEET_CRASH_AT=mid:7 \
     cargo run --release -q -p relaxfault-bench --bin fleet_forecast -- \
@@ -121,6 +120,8 @@ if RF_OBS=on RF_RESULTS_DIR=results/ci RF_RUN_NAME=crash_small RF_FLEET_CRASH_AT
 fi
 dump=results/ci/obs/crash_small.crashdump.json
 [ -f "$dump" ] || { echo "crash-dump gate: no crash dump written" >&2; exit 4; }
+grep -A1 '"relsim.fleet.epoch_ns": {' "$dump" | grep -q '"count": 8,' \
+    || { echo "crash-dump gate: dump does not time the 8 epochs entered" >&2; exit 4; }
 cargo run --release -q -p relaxfault-relcheck --bin relcheck -- replay "$dump" \
     || { echo "crash-dump gate: dump did not replay bit-exactly" >&2; exit 4; }
 mkdir -p results/ci/crash_truncated
@@ -132,7 +133,7 @@ if cargo run --release -q -p relaxfault-bench --bin obs_validate \
 fi
 
 # Final sweep: everything the CI runs above dropped in results/ci/obs
-# (snapshots, traces, crash dumps, folded profiles) must validate.
+# (snapshots, event streams, crash dumps) must validate.
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/obs \
     || { echo "obs gate: results/ci/obs failed validation" >&2; exit 4; }
 
