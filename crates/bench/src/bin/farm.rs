@@ -2,8 +2,8 @@
 //! resumable DAG of figure/table jobs with auto-repair.
 //!
 //! ```text
-//! farm run --matrix=figures|mini [--dir=PATH] [--jobs=N] [--budget=N]
-//!          [--scale=F] [--retries=N] [--resume] [--fail-job=ID]
+//! farm run --matrix=figures|mini [--dir=PATH] [--jobs=N] [--scale=F]
+//!          [--resume] [--fail-job=ID]
 //! ```
 //!
 //! Each job spawns the sibling `fig*`/`table*` binary named by its id
@@ -20,9 +20,9 @@
 //!   50), so CI can run the same DAG in seconds. Scale changes job
 //!   digests: a resume must pass the same `--scale` as the original run.
 //! * `--jobs=N` sizes the worker pool (default 2 — each child already
-//!   parallelises internally); `--budget=N` caps the summed cost of
-//!   concurrently running jobs; `--retries=N` grants every job extra
-//!   attempts.
+//!   parallelises internally); the most expensive ready job starts first.
+//!   Every job is seeded, so a failed job is not retried: the repair
+//!   loop below captures its diagnostics instead.
 //! * `--fail-job=ID` runs that job's child under `RF_CHECK=1
 //!   RF_CHECK_FAIL_TRIAL=0`, forcing a deterministic engine-check failure
 //!   that writes a relcheck ReproCase — the auto-repair loop then
@@ -52,7 +52,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 const USAGE: &str = "usage: farm run --matrix=figures|mini [--dir=PATH] [--jobs=N] \
-                     [--budget=N] [--scale=F] [--retries=N] [--resume] [--fail-job=ID]";
+                     [--scale=F] [--resume] [--fail-job=ID]";
 
 /// One matrix entry: the sibling binary to spawn, its dependency tier,
 /// and the paper-scale work amount (`None` = the bin takes no positional
@@ -163,9 +163,7 @@ struct Args {
     matrix: &'static [JobDef],
     dir: PathBuf,
     jobs: usize,
-    budget: Option<u64>,
     scale: f64,
-    retries: u32,
     resume: bool,
     fail_job: Option<String>,
 }
@@ -176,9 +174,7 @@ fn parse_args() -> Result<Args, String> {
         matrix: FIGURES,
         dir: PathBuf::from(obs::results_dir()),
         jobs: 2,
-        budget: None,
         scale: 1.0,
-        retries: 0,
         resume: false,
         fail_job: None,
     };
@@ -194,12 +190,8 @@ fn parse_args() -> Result<Args, String> {
             args.dir = PathBuf::from(v);
         } else if let Some(v) = a.strip_prefix("--jobs=") {
             args.jobs = v.parse().map_err(|_| format!("bad --jobs={v}"))?;
-        } else if let Some(v) = a.strip_prefix("--budget=") {
-            args.budget = Some(v.parse().map_err(|_| format!("bad --budget={v}"))?);
         } else if let Some(v) = a.strip_prefix("--scale=") {
             args.scale = v.parse().map_err(|_| format!("bad --scale={v}"))?;
-        } else if let Some(v) = a.strip_prefix("--retries=") {
-            args.retries = v.parse().map_err(|_| format!("bad --retries={v}"))?;
         } else if a == "--resume" {
             args.resume = true;
         } else if let Some(v) = a.strip_prefix("--fail-job=") {
@@ -236,12 +228,11 @@ fn scaled_work(def: &JobDef, scale: f64) -> Option<u64> {
 }
 
 /// The job spec: id = bin name, cost proportional to the scaled work (so
-/// the budget dispatcher sees real weights — and so a different `--scale`
-/// changes the digests and is rejected as drift on resume).
-fn spec_for(def: &JobDef, scale: f64, retries: u32) -> JobSpec {
-    let mut spec = JobSpec::new(def.bin)
-        .cost(scaled_work(def, scale).map_or(1, |w| (w / 10_000).max(1)))
-        .retries(retries);
+/// the dispatcher starts the longest jobs first — and so a different
+/// `--scale` changes the digests and is rejected as drift on resume).
+fn spec_for(def: &JobDef, scale: f64) -> JobSpec {
+    let mut spec =
+        JobSpec::new(def.bin).cost(scaled_work(def, scale).map_or(1, |w| (w / 10_000).max(1)));
     for d in def.deps {
         spec = spec.dep(*d);
     }
@@ -277,7 +268,7 @@ fn job_body(
             .output()
             .map_err(|e| format!("cannot spawn {}: {e}", exe.display()))?;
         if out.status.success() {
-            println!("farm: {} ok (attempt {})", ctx.id, ctx.attempt);
+            println!("farm: {} ok", ctx.id);
             Ok(())
         } else {
             let stderr = String::from_utf8_lossy(&out.stderr);
@@ -389,15 +380,13 @@ fn main() -> ExitCode {
 
     let mut cfg = FarmConfig::new(&results);
     cfg.workers = args.jobs.max(1);
-    cfg.budget = args.budget;
-    cfg.backoff_ms = 50;
     cfg.crash_at = crash_at_from_env();
     cfg.resume = args.resume;
     let mut farm = Farm::new(cfg);
     for def in args.matrix {
         let force_fail = args.fail_job.as_deref() == Some(def.bin);
         farm.job(
-            spec_for(def, args.scale, args.retries),
+            spec_for(def, args.scale),
             job_body(
                 def,
                 args.scale,

@@ -429,7 +429,7 @@ pub fn diff_snapshots(
     }
 
     let mut warnings = Vec::new();
-    for key in ["profile", "lanes", "config_hash"] {
+    for key in ["profile", "config_hash"] {
         let (b, c) = (manifest_str(baseline, key), manifest_str(current, key));
         if b != c {
             warnings.push(format!("manifest {key} differs: {b:?} vs {c:?}"));

@@ -51,11 +51,6 @@ impl BenchArgs {
 ///   overrides the run name [`emit`] uses for the obs snapshot and event
 ///   files — this is how CI writes `drift_a`/`drift_b` from the same
 ///   binary;
-/// * `--lanes scalar|u64|u128` (or `RF_LANES` in the environment) pins the
-///   engine's trial-lane mode; the choice is recorded in the run manifest
-///   so history series stay comparable per lane configuration. An invalid
-///   value, or an override arriving after the mode was already pinned to
-///   something else, exits with an error;
 /// * a crash-dump panic hook is installed (unless `--quiet`/`RF_OBS=off`),
 ///   so any panic copies the trace rings and metrics into
 ///   `<results>/obs/<run>.crashdump.json`;
@@ -66,7 +61,6 @@ impl BenchArgs {
 pub fn obs_init() -> BenchArgs {
     let mut parsed = BenchArgs::default();
     let mut run = None;
-    let mut lanes_spec: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--quiet" || a == "-q" {
@@ -75,36 +69,12 @@ pub fn obs_init() -> BenchArgs {
             run = args.next();
         } else if let Some(r) = a.strip_prefix("--run=") {
             run = Some(r.to_string());
-        } else if a == "--lanes" {
-            lanes_spec = args.next();
-        } else if let Some(l) = a.strip_prefix("--lanes=") {
-            lanes_spec = Some(l.to_string());
         } else if parsed.work.is_none() && !a.starts_with('-') {
             parsed.work = a.parse().ok();
         }
     }
     if let Some(r) = run {
         let _ = RUN_OVERRIDE.set(r);
-    }
-    if let Some(spec) = lanes_spec {
-        match relaxfault_util::lanes::LaneMode::parse(&spec) {
-            Some(m) => {
-                if !relaxfault_util::lanes::set_mode(m) {
-                    // The mode pins on first use; a too-late or conflicting
-                    // override silently taking the old value would corrupt
-                    // the run manifest's `lanes` record.
-                    eprintln!(
-                        "--lanes {spec}: lane mode already pinned to {}",
-                        relaxfault_util::lanes::mode().label()
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("--lanes {spec}: expected scalar, u64, or u128");
-                std::process::exit(1);
-            }
-        }
     }
     if !obs::is_force_off() {
         crashdump::install_panic_hook(&current_run_name());

@@ -182,16 +182,36 @@ fn obs_diff_exit_code_matrix() {
     );
     let garbage = dir.join("garbage.json");
     std::fs::write(&garbage, "{not json").expect("write garbage");
+    // The committed engine_hot baseline still records a manifest `lanes`
+    // key that snapshots no longer carry; the same snapshot without it
+    // must compare with no warning at all.
+    let old_baseline = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/baselines/engine_hot.json"
+    ));
+    let mut today = Value::parse(&std::fs::read_to_string(&old_baseline).expect("baseline"))
+        .expect("baseline parses");
+    let Some(Value::Object(mut manifest)) = today.get("manifest").cloned() else {
+        panic!("baseline has no manifest");
+    };
+    let before = manifest.len();
+    manifest.retain(|(key, _)| key != "lanes");
+    assert_eq!(manifest.len(), before - 1, "baseline records lanes");
+    today.set("manifest", Value::Object(manifest));
+    let today = write("today.json", &today);
 
-    let code = |args: &[&std::ffi::OsStr]| {
+    let run = |args: &[&std::ffi::OsStr]| {
         Command::new(env!("CARGO_BIN_EXE_obs_diff"))
             .args(args)
             .output()
             .expect("obs_diff runs")
-            .status
-            .code()
     };
+    let code = |args: &[&std::ffi::OsStr]| run(args).status.code();
     assert_eq!(code(&[a.as_os_str(), same.as_os_str()]), Some(0));
+    let out = run(&[old_baseline.as_os_str(), today.as_os_str()]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("warning"), "{stdout}");
     assert_eq!(code(&[a.as_os_str(), drifted.as_os_str()]), Some(1));
     assert_eq!(code(&[a.as_os_str(), garbage.as_os_str()]), Some(2));
     assert_eq!(code(&[a.as_os_str()]), Some(2), "one path is a usage error");

@@ -13,12 +13,12 @@
 //! * **Drift rejection** — a resumed ledger whose matrix digest or
 //!   per-job digests disagree with the current spec is an error, never a
 //!   silent re-run.
-//! * **Bounded retries with backoff** and **budget-aware scheduling**
-//!   (greedy biggest-cost-first dispatch under a concurrent-cost cap).
-//! * **An auto-repair loop** — when a job exhausts its attempts, a
-//!   [`RepairHook`] can archive the relcheck ReproCase the failing run
-//!   captured and re-queue a minimal diagnostic job (role `repro`, never
-//!   retried), without stopping the rest of the DAG.
+//! * **Biggest-cost-first dispatch** of every ready job to the pool.
+//! * **An auto-repair loop** — every job is seeded, so a failure is final
+//!   on its first attempt (a retry would repeat it). A [`RepairHook`] can
+//!   archive the relcheck ReproCase the failing run captured and re-queue
+//!   a minimal diagnostic job (role `repro`), without stopping the rest
+//!   of the DAG.
 //! * **Injected crash points** (`RF_FARM_CRASH_AT=<job>` / `mid:<job>`)
 //!   so the crash matrix test and the CI gate can kill the farm at every
 //!   boundary and prove resume is exact.

@@ -1,9 +1,11 @@
-//! The resumable DAG runner: worker pool, budget-aware dispatch, bounded
-//! retries, crash points, and the auto-repair loop.
+//! The resumable DAG runner: worker pool, most-expensive-first dispatch,
+//! crash points, and the auto-repair loop.
 //!
 //! The scheduler owns all durable state transitions; workers only execute
-//! job closures (which travel through the work/done channels, so retries
-//! and hook-spawned diagnostics need no shared job table). Persistence
+//! job closures (which travel through the work channel, so hook-spawned
+//! diagnostics need no shared job table). Every job is seeded, so a
+//! failure is final on its first attempt: re-running would repeat it, and
+//! the repair hook captures its diagnostics instead. Persistence
 //! ordering is the crash-consistency contract: a job's manifest is
 //! written **before** its ledger record, so a ledger record with status
 //! `ok` proves the manifest exists, and a crash at any instant leaves the
@@ -32,15 +34,12 @@ use relaxfault_util::persist::Persist;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
 
 /// What a job closure gets to see when it runs.
 #[derive(Debug, Clone)]
 pub struct JobCtx {
     /// The job's id.
     pub id: String,
-    /// 1-based attempt number.
-    pub attempt: u32,
     /// The results root the farm writes under.
     pub dir: PathBuf,
 }
@@ -53,7 +52,7 @@ pub type JobFn = Box<dyn Fn(&JobCtx) -> Result<(), String> + Send>;
 /// A schedulable job: static identity plus the closure that does the
 /// work.
 pub struct Job {
-    /// Static identity (id, deps, cost, retries).
+    /// Static identity (id, deps, cost).
     pub spec: JobSpec,
     /// Matrix job or re-queued diagnostic.
     pub role: JobRole,
@@ -73,8 +72,8 @@ impl Job {
         }
     }
 
-    /// A diagnostic job for the auto-repair loop: never retried,
-    /// excluded from the matrix drift digest.
+    /// A diagnostic job for the auto-repair loop, excluded from the
+    /// matrix drift digest.
     pub fn diagnostic(
         spec: JobSpec,
         run: impl Fn(&JobCtx) -> Result<(), String> + Send + 'static,
@@ -87,15 +86,13 @@ impl Job {
     }
 }
 
-/// Context handed to the repair hook when a job exhausts its attempts.
+/// Context handed to the repair hook when a matrix job fails.
 #[derive(Debug)]
 pub struct JobFailure<'a> {
     /// The failed job's id.
     pub id: &'a str,
-    /// The last attempt's failure reason.
+    /// The failure reason.
     pub reason: &'a str,
-    /// Attempts consumed.
-    pub attempts: u32,
     /// The results root (where a captured ReproCase would have landed).
     pub dir: &'a Path,
 }
@@ -110,7 +107,7 @@ pub struct Repair {
     pub archive: Option<PathBuf>,
 }
 
-/// Called on the scheduler thread when a matrix job finally fails.
+/// Called on the scheduler thread when a matrix job fails.
 pub type RepairHook = Box<dyn Fn(&JobFailure) -> Option<Repair>>;
 
 /// Where to inject a simulated crash (see module docs).
@@ -142,11 +139,6 @@ pub struct FarmConfig {
     pub dir: PathBuf,
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Max total cost of concurrently running jobs; `None` = unlimited.
-    /// A job whose cost alone exceeds the budget still runs — alone.
-    pub budget: Option<u64>,
-    /// Base retry backoff; attempt `n`'s re-run waits `n * backoff_ms`.
-    pub backoff_ms: u64,
     /// Injected crash point (normally [`crash_at_from_env`]).
     pub crash_at: Option<CrashPoint>,
     /// Resume from an existing `farm_state` ledger: completed jobs are
@@ -155,13 +147,11 @@ pub struct FarmConfig {
 }
 
 impl FarmConfig {
-    /// A serial farm over `dir` with no budget and no backoff.
+    /// A serial farm over `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         FarmConfig {
             dir: dir.into(),
             workers: 1,
-            budget: None,
-            backoff_ms: 0,
             crash_at: None,
             resume: false,
         }
@@ -175,13 +165,13 @@ pub struct FarmReport {
     pub completed: Vec<String>,
     /// Matrix jobs skipped because the ledger already records them ok.
     pub skipped: Vec<String>,
-    /// `(id, reason)` for jobs that exhausted their attempts.
+    /// `(id, reason)` for jobs that failed.
     pub failed: Vec<(String, String)>,
     /// Jobs that never ran because a dependency failed, sorted by id.
     pub blocked: Vec<String>,
     /// `(id, succeeded)` for diagnostic jobs the repair hook re-queued.
     pub repro: Vec<(String, bool)>,
-    /// Total attempts consumed across all jobs this run.
+    /// Jobs executed this run, diagnostics included.
     pub attempts: u64,
 }
 
@@ -195,16 +185,12 @@ pub struct Farm {
 struct WorkMsg {
     slot: usize,
     id: String,
-    attempt: u32,
-    backoff: Duration,
     run: JobFn,
 }
 
 struct DoneMsg {
     slot: usize,
-    attempt: u32,
     result: Result<(), String>,
-    run: JobFn,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -225,7 +211,7 @@ struct SlotRow {
     waiting: usize,
     /// Slots that depend on this one.
     dependents: Vec<usize>,
-    /// The closure, parked here between dispatches.
+    /// The closure, parked here until the job is dispatched.
     run: Option<JobFn>,
 }
 
@@ -249,8 +235,7 @@ impl Farm {
         self
     }
 
-    /// Installs the auto-repair hook, called once per finally-failed
-    /// matrix job.
+    /// Installs the auto-repair hook, called once per failed matrix job.
     pub fn repair_hook(
         &mut self,
         hook: impl Fn(&JobFailure) -> Option<Repair> + 'static,
@@ -344,34 +329,14 @@ impl Farm {
                 let dir = cfg.dir.clone();
                 scope.spawn(move || loop {
                     let msg = { work_rx.lock().expect("work queue").recv() };
-                    let Ok(WorkMsg {
-                        slot,
-                        id,
-                        attempt,
-                        backoff,
-                        run,
-                    }) = msg
-                    else {
+                    let Ok(WorkMsg { slot, id, run }) = msg else {
                         break;
                     };
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    let ctx = JobCtx {
+                    let result = run(&JobCtx {
                         id,
-                        attempt,
                         dir: dir.clone(),
-                    };
-                    let result = run(&ctx);
-                    if done_tx
-                        .send(DoneMsg {
-                            slot,
-                            attempt,
-                            result,
-                            run,
-                        })
-                        .is_err()
-                    {
+                    });
+                    if done_tx.send(DoneMsg { slot, result }).is_err() {
                         break;
                     }
                 });
@@ -379,29 +344,17 @@ impl Farm {
             drop(done_tx);
 
             let mut running: usize = 0;
-            let mut running_cost: u64 = 0;
             let outcome = (|| -> Result<FarmReport, String> {
-                dispatch(
-                    &mut rows,
-                    &mut ready,
-                    &mut running,
-                    &mut running_cost,
-                    &cfg,
-                    &work_tx,
-                )?;
+                dispatch(&mut rows, &mut ready, &mut running, &work_tx)?;
                 while pending > 0 {
                     if running == 0 {
                         return Err(format!(
                             "scheduler stalled with {pending} pending job(s) and nothing running"
                         ));
                     }
-                    let DoneMsg {
-                        slot,
-                        attempt,
-                        result,
-                        run,
-                    } = done_rx.recv().map_err(|_| "worker pool died".to_string())?;
-                    rows[slot].run = Some(run);
+                    let DoneMsg { slot, result } =
+                        done_rx.recv().map_err(|_| "worker pool died".to_string())?;
+                    running -= 1;
                     report.attempts += 1;
                     let id = rows[slot].spec.id.clone();
                     if let Some(CrashPoint::MidJob(cid)) = &cfg.crash_at {
@@ -420,16 +373,14 @@ impl Farm {
                                 digest: row.spec.digest(),
                                 role: row.role,
                                 status: JobStatus::Ok,
-                                attempts: attempt as u64,
+                                attempts: 1,
                             };
-                            manifest_of(row, JobStatus::Ok, attempt as u64, None)
+                            manifest_of(row, JobStatus::Ok, 1, None)
                                 .save(&state::manifest_path(&cfg.dir, &id))?;
                             ledger.record(entry);
                             ledger.save(&ledger_path)?;
                             row.state = SlotState::Done;
                             pending -= 1;
-                            running -= 1;
-                            running_cost -= row.spec.cost;
                             if row.role == JobRole::Repro {
                                 report.repro.push((id.clone(), true));
                             } else {
@@ -451,94 +402,61 @@ impl Farm {
                             }
                         }
                         Err(reason) => {
-                            let retries = if rows[slot].role == JobRole::Repro {
-                                0
-                            } else {
-                                rows[slot].spec.retries
-                            };
-                            if attempt <= retries {
-                                let msg = WorkMsg {
-                                    slot,
-                                    id,
-                                    attempt: attempt + 1,
-                                    backoff: Duration::from_millis(cfg.backoff_ms * attempt as u64),
-                                    run: rows[slot].run.take().expect("closure parked"),
-                                };
-                                work_tx
-                                    .send(msg)
-                                    .map_err(|_| "worker pool died".to_string())?;
-                            } else {
-                                let repair = if rows[slot].role == JobRole::Job {
-                                    hook.as_ref().and_then(|h| {
-                                        h(&JobFailure {
-                                            id: &id,
-                                            reason: &reason,
-                                            attempts: attempt,
-                                            dir: &cfg.dir,
-                                        })
+                            let repair = if rows[slot].role == JobRole::Job {
+                                hook.as_ref().and_then(|h| {
+                                    h(&JobFailure {
+                                        id: &id,
+                                        reason: &reason,
+                                        dir: &cfg.dir,
                                     })
-                                } else {
-                                    None
-                                };
-                                let repro_path = repair.as_ref().and_then(|r| {
-                                    r.archive.as_ref().map(|p| p.display().to_string())
-                                });
-                                let row = &mut rows[slot];
-                                manifest_of(
-                                    row,
-                                    JobStatus::Failed,
-                                    attempt as u64,
-                                    Some(reason.clone()),
-                                )
+                                })
+                            } else {
+                                None
+                            };
+                            let repro_path = repair
+                                .as_ref()
+                                .and_then(|r| r.archive.as_ref().map(|p| p.display().to_string()));
+                            let row = &mut rows[slot];
+                            manifest_of(row, JobStatus::Failed, 1, Some(reason.clone()))
                                 .with_repro(repro_path)
                                 .save(&state::manifest_path(&cfg.dir, &id))?;
-                                ledger.record(LedgerEntry {
-                                    id: id.clone(),
-                                    digest: row.spec.digest(),
-                                    role: row.role,
-                                    status: JobStatus::Failed,
-                                    attempts: attempt as u64,
-                                });
-                                ledger.save(&ledger_path)?;
-                                row.state = SlotState::Failed;
-                                pending -= 1;
-                                running -= 1;
-                                running_cost -= row.spec.cost;
-                                if row.role == JobRole::Repro {
-                                    report.repro.push((id.clone(), false));
-                                } else {
-                                    report.failed.push((id.clone(), reason));
-                                }
-                                block_dependents(
-                                    slot,
+                            ledger.record(LedgerEntry {
+                                id: id.clone(),
+                                digest: row.spec.digest(),
+                                role: row.role,
+                                status: JobStatus::Failed,
+                                attempts: 1,
+                            });
+                            ledger.save(&ledger_path)?;
+                            row.state = SlotState::Failed;
+                            pending -= 1;
+                            if row.role == JobRole::Repro {
+                                report.repro.push((id.clone(), false));
+                            } else {
+                                report.failed.push((id.clone(), reason));
+                            }
+                            block_dependents(
+                                slot,
+                                &mut rows,
+                                &mut ready,
+                                &mut ledger,
+                                &cfg.dir,
+                                &mut pending,
+                                &mut report,
+                            )?;
+                            ledger.save(&ledger_path)?;
+                            if let Some(repair) = repair {
+                                enqueue_diagnostic(
+                                    repair.job,
                                     &mut rows,
+                                    &mut slot_of,
                                     &mut ready,
-                                    &mut ledger,
-                                    &cfg.dir,
                                     &mut pending,
-                                    &mut report,
                                 )?;
-                                ledger.save(&ledger_path)?;
-                                if let Some(repair) = repair {
-                                    enqueue_diagnostic(
-                                        repair.job,
-                                        &mut rows,
-                                        &mut slot_of,
-                                        &mut ready,
-                                        &mut pending,
-                                    )?;
-                                }
                             }
                         }
                     }
-                    dispatch(
-                        &mut rows,
-                        &mut ready,
-                        &mut running,
-                        &mut running_cost,
-                        &cfg,
-                        &work_tx,
-                    )?;
+                    dispatch(&mut rows, &mut ready, &mut running, &work_tx)?;
                 }
                 Ok(report)
             })();
@@ -639,15 +557,12 @@ fn manifest_of(
     }
 }
 
-/// Budget-aware greedy dispatch, biggest cost first (ties by id); a job
-/// that alone exceeds the budget runs when nothing else is running, so
-/// the farm never starves.
+/// Sends every ready job to the worker pool, biggest cost first (ties by
+/// id), so the longest jobs start while workers are free.
 fn dispatch(
     rows: &mut [SlotRow],
     ready: &mut Vec<usize>,
     running: &mut usize,
-    running_cost: &mut u64,
-    cfg: &FarmConfig,
     work_tx: &mpsc::Sender<WorkMsg>,
 ) -> Result<(), String> {
     ready.sort_by(|&a, &b| {
@@ -657,24 +572,12 @@ fn dispatch(
             .cmp(&rows[a].spec.cost)
             .then(rows[a].spec.id.cmp(&rows[b].spec.id))
     });
-    let mut i = 0;
-    while i < ready.len() {
-        let slot = ready[i];
-        let cost = rows[slot].spec.cost;
-        let fits = *running == 0 || cfg.budget.is_none_or(|b| *running_cost + cost <= b);
-        if !fits {
-            i += 1;
-            continue;
-        }
-        ready.remove(i);
+    for slot in ready.drain(..) {
         rows[slot].state = SlotState::Running;
         *running += 1;
-        *running_cost += cost;
         let msg = WorkMsg {
             slot,
             id: rows[slot].spec.id.clone(),
-            attempt: 1,
-            backoff: Duration::ZERO,
             run: rows[slot].run.take().expect("closure parked"),
         };
         work_tx

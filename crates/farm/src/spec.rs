@@ -1,7 +1,7 @@
 //! Job and matrix specifications for the figure farm.
 //!
 //! A [`JobSpec`] is the *static* identity of a job: its id, the ids it
-//! depends on, an abstract scheduling cost, and how many retries it gets.
+//! depends on, and an abstract scheduling cost.
 //! The runner derives everything durable from this identity — the per-job
 //! digest stored in manifests and the whole-matrix digest stored in the
 //! `farm_state` ledger — so that a resumed farm can prove it is continuing
@@ -23,21 +23,18 @@ pub struct JobSpec {
     pub id: String,
     /// Ids of jobs that must complete successfully first.
     pub deps: Vec<String>,
-    /// Abstract scheduling weight for the budget-aware dispatcher
-    /// (e.g. trial count); never zero-cost, minimum 1.
+    /// Abstract scheduling weight; the dispatcher starts the most
+    /// expensive ready job first (e.g. trial count); minimum 1.
     pub cost: u64,
-    /// Extra attempts after the first failure (0 = fail immediately).
-    pub retries: u32,
 }
 
 impl JobSpec {
-    /// A job with no deps, unit cost, and no retries.
+    /// A job with no deps and unit cost.
     pub fn new(id: impl Into<String>) -> Self {
         Self {
             id: id.into(),
             deps: Vec::new(),
             cost: 1,
-            retries: 0,
         }
     }
 
@@ -55,17 +52,10 @@ impl JobSpec {
         self
     }
 
-    /// Sets the retry budget.
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Digest of the job's static identity; any change to id, deps, cost,
-    /// or retries changes it, which is what resume uses to detect drift.
+    /// Digest of the job's static identity; any change to id, deps or
+    /// cost changes it, which is what resume uses to detect drift.
     pub fn digest(&self) -> u64 {
-        digest_debug(&(&self.id, &self.deps, self.cost, self.retries))
+        digest_debug(&(&self.id, &self.deps, self.cost))
     }
 }
 
@@ -163,13 +153,10 @@ mod tests {
 
     #[test]
     fn digest_tracks_identity() {
-        let a = JobSpec::new("a").cost(10).retries(2);
-        assert_eq!(a.digest(), JobSpec::new("a").cost(10).retries(2).digest());
-        assert_ne!(a.digest(), JobSpec::new("a").cost(11).retries(2).digest());
-        assert_ne!(
-            a.digest(),
-            JobSpec::new("a").cost(10).retries(2).dep("b").digest()
-        );
+        let a = JobSpec::new("a").cost(10);
+        assert_eq!(a.digest(), JobSpec::new("a").cost(10).digest());
+        assert_ne!(a.digest(), JobSpec::new("a").cost(11).digest());
+        assert_ne!(a.digest(), JobSpec::new("a").cost(10).dep("b").digest());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub enum JobStatus {
     Pending,
     /// Completed successfully.
     Ok,
-    /// All attempts exhausted.
+    /// Ran and failed.
     Failed,
     /// Never ran: a (transitive) dependency failed.
     Blocked,
@@ -104,13 +104,13 @@ pub struct JobManifest {
     pub role: JobRole,
     /// Final status.
     pub status: JobStatus,
-    /// Attempts consumed (1 = first try succeeded; 0 for blocked jobs).
+    /// Times the job ran (1 for ok and failed jobs; 0 for blocked ones).
     pub attempts: u64,
     /// Dependency ids, as declared.
     pub deps: Vec<String>,
     /// Scheduling cost, as declared.
     pub cost: u64,
-    /// Failure reason of the last attempt, for failed jobs.
+    /// Failure reason, for failed jobs.
     pub reason: Option<String>,
     /// Path of the archived ReproCase, when the auto-repair loop
     /// captured one.
@@ -193,7 +193,7 @@ pub struct LedgerEntry {
     pub role: JobRole,
     /// Last durable status.
     pub status: JobStatus,
-    /// Attempts consumed by the run that produced `status`.
+    /// Times the job ran in the run that produced `status`.
     pub attempts: u64,
 }
 

@@ -106,10 +106,6 @@ pub struct FaultSampler {
     e_dimm: f64,
     /// P(the whole node lifetime has zero events) — the fast-path gate.
     q_node: f64,
-    /// `q_node` as an integer mantissa threshold: comparing a raw `u64`
-    /// draw against it is bit-identical to the `f64` gate compare (see
-    /// [`relaxfault_util::rng::unit_f64_threshold`]).
-    clean_threshold: u64,
 }
 
 impl FaultSampler {
@@ -183,7 +179,6 @@ impl FaultSampler {
             suffix,
             e_dimm,
             q_node,
-            clean_threshold: unit_f64_threshold(q_node),
         }
     }
 
@@ -200,17 +195,6 @@ impl FaultSampler {
     /// would have returned an empty lifetime from the same stream).
     pub fn trial_is_clean<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         rng.gen::<f64>() < self.q_node
-    }
-
-    /// The zero-fault verdict [`FaultSampler::trial_is_clean`] would reach
-    /// from a stream whose first raw draw is `first`, computed without
-    /// constructing the generator or touching floating point. The
-    /// bit-sliced engine packs these verdicts into lane masks; equivalence
-    /// with the gate draw is pinned by
-    /// `tests::first_draw_gate_matches_trial_is_clean`.
-    #[inline]
-    pub fn trial_is_clean_from_first(&self, first: u64) -> bool {
-        u64_is_below(first, self.clean_threshold)
     }
 
     /// Samples one node lifetime (drop-in replacement for
@@ -587,26 +571,6 @@ mod tests {
             assert_eq!(full, gated, "seed {seed} diverged");
         }
         assert!(saw_faulty > 10, "only {saw_faulty} faulty trials");
-    }
-
-    #[test]
-    fn first_draw_gate_matches_trial_is_clean() {
-        // The lane-mask gate (integer compare on the stream's first raw
-        // draw) must agree with the f64 gate draw on every seed — it is
-        // the same decision, so the bit-sliced engine can skip generator
-        // construction for clean trials.
-        use relaxfault_util::rng::first_u64_from_seed;
-        let model = FaultModel::isca16(FitRates::cielo(), 6.0);
-        let s = FaultSampler::new(&model, &cfg());
-        let mut faulty = 0;
-        for seed in 0..5000u64 {
-            let mut rng = Rng64::seed_from_u64(seed);
-            let drawn = s.trial_is_clean(&mut rng);
-            let masked = s.trial_is_clean_from_first(first_u64_from_seed(seed));
-            assert_eq!(drawn, masked, "seed {seed}");
-            faulty += !drawn as u32;
-        }
-        assert!(faulty > 100, "only {faulty} faulty gates exercised");
     }
 
     #[test]

@@ -10,23 +10,23 @@
 //!                                (unique verified ids, valid run names,
 //!                                finite medians, per-lineage series
 //!                                monotonicity)
-//! relcheck lane-matrix [--trials N] [--seed S] [--out PATH]
-//!                                run the bit-slicing equivalence gate:
-//!                                one pinned scenario mix across every
-//!                                (lane mode, thread count) cell, all
-//!                                digests required identical; the verdict
-//!                                JSON goes to --out (or stdout)
+//! relcheck thread-matrix [--trials N] [--seed S] [--out PATH]
+//!                                run the scheduling-determinism gate:
+//!                                one pinned scenario mix at 1, 2 and 4
+//!                                threads, all digests required
+//!                                identical; the verdict JSON goes to
+//!                                --out (or stdout)
 //! ```
 //!
 //! Exit codes: 0 success / reproduced, 1 usage or replay error,
 //! 2 replay did not reproduce the recorded failure, 3 an oracle property,
-//! ledger invariant, or lane-matrix cell failed (the repro path /
+//! ledger invariant, or thread-matrix cell failed (the repro path /
 //! offending entry / diverging digest is printed).
 
 use relaxfault_relcheck::replay::{
     load_any, replay, replay_crash_dump, replay_fleet, LoadedCase, ReplayReport,
 };
-use relaxfault_relcheck::{run_lane_matrix, run_smoke};
+use relaxfault_relcheck::{run_smoke, run_thread_matrix};
 use relaxfault_util::{history, obs};
 use std::path::Path;
 use std::process::ExitCode;
@@ -35,7 +35,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: relcheck smoke [--cases N] | relcheck replay <case.json> \
          | relcheck ledger <ledger.jsonl> \
-         | relcheck lane-matrix [--trials N] [--seed S] [--out PATH]"
+         | relcheck thread-matrix [--trials N] [--seed S] [--out PATH]"
     );
     ExitCode::from(1)
 }
@@ -140,7 +140,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("lane-matrix") => {
+        Some("thread-matrix") => {
             let mut trials: u64 = 4000;
             let mut seed: u64 = 0x1A7E;
             let mut out: Option<String> = None;
@@ -162,44 +162,39 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            let verdict = run_lane_matrix(trials, seed);
+            let verdict = run_thread_matrix(trials, seed);
             let json = verdict.to_json().to_pretty();
             if let Some(path) = out {
                 let path = Path::new(&path);
                 if let Some(dir) = path.parent() {
                     if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("relcheck lane-matrix: creating {}: {e}", dir.display());
+                        eprintln!("relcheck thread-matrix: creating {}: {e}", dir.display());
                         return ExitCode::from(1);
                     }
                 }
                 if let Err(e) = std::fs::write(path, json + "\n") {
-                    eprintln!("relcheck lane-matrix: writing {}: {e}", path.display());
+                    eprintln!("relcheck thread-matrix: writing {}: {e}", path.display());
                     return ExitCode::from(1);
                 }
                 println!(
-                    "relcheck lane-matrix: verdict written to {}",
+                    "relcheck thread-matrix: verdict written to {}",
                     path.display()
                 );
             } else {
                 println!("{json}");
             }
             for c in &verdict.cells {
-                println!(
-                    "  {:>6} x {} thread(s): {:016x}",
-                    c.lanes.label(),
-                    c.threads,
-                    c.digest
-                );
+                println!("  {} thread(s): {:016x}", c.threads, c.digest);
             }
             if verdict.pass {
                 println!(
-                    "relcheck lane-matrix: {} cells bit-identical over {} trials",
+                    "relcheck thread-matrix: {} cells bit-identical over {} trials",
                     verdict.cells.len(),
                     trials
                 );
                 ExitCode::SUCCESS
             } else {
-                eprintln!("relcheck lane-matrix: lane modes DIVERGED (see digests above)");
+                eprintln!("relcheck thread-matrix: thread counts DIVERGED (see digests above)");
                 ExitCode::from(3)
             }
         }

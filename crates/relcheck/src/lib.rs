@@ -18,22 +18,21 @@
 //!   [`relaxfault_relsim::repro::ReproCase`] files, proving bit-exact
 //!   reproduction by fault-population digest (engine cases) or by
 //!   re-failing the decoded property (oracle cases).
-//!
-//! * [`lanematrix`] — the bit-slicing equivalence gate: one pinned
-//!   scenario mix digested across every `(lane mode, thread count)`
-//!   cell, all nine digests required identical.
+//! * [`threadmatrix`] — the scheduling-determinism gate: one pinned
+//!   scenario mix digested at 1, 2 and 4 worker threads, all three
+//!   digests required identical.
 //!
 //! The `relcheck` binary drives the entry points CI uses:
 //! `relcheck smoke` runs every oracle property at a reduced case count,
 //! `relcheck replay <case.json>` re-executes a persisted failure with
-//! tracing forced on, and `relcheck lane-matrix` emits the lane
-//! equivalence verdict JSON.
+//! tracing forced on, and `relcheck thread-matrix` emits the thread
+//! determinism verdict JSON.
 
 pub mod gen;
-pub mod lanematrix;
 pub mod oracle;
 pub mod replay;
+pub mod threadmatrix;
 
-pub use lanematrix::{run_lane_matrix, LaneMatrixVerdict};
 pub use oracle::{check_with_repro, run_smoke, PROP_CASES};
 pub use replay::{load_any, replay, replay_fleet, LoadedCase, ReplayReport};
+pub use threadmatrix::{run_thread_matrix, ThreadMatrixVerdict};

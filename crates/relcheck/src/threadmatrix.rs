@@ -1,6 +1,5 @@
-//! The CI lane-matrix gate: one pinned scenario mix run through every
-//! (lane mode, thread count) cell of `{scalar, u64, u128} × {1, 2, 4}`
-//! must produce bit-identical results.
+//! The CI thread-matrix gate: one pinned scenario mix run at 1, 2 and 4
+//! worker threads must produce bit-identical results.
 //!
 //! The comparison digests the *deterministic* engine outputs — every
 //! counter field of [`ScenarioResult`] plus the canonical (sorted)
@@ -10,17 +9,14 @@
 //! artifact, one digest per cell, so a failing cell is identifiable
 //! from the artifact alone.
 
-use relaxfault_relsim::engine::{run_scenarios_with_lanes, RunConfig, ScenarioResult};
+use relaxfault_relsim::engine::{run_scenarios, RunConfig, ScenarioResult};
 use relaxfault_relsim::scenario::{Mechanism, ReplacementPolicy, Scenario};
 use relaxfault_util::json::Value;
-use relaxfault_util::lanes::LaneMode;
 use relaxfault_util::obs;
 
 /// One matrix cell's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneCell {
-    /// Lane mode the engine ran under.
-    pub lanes: LaneMode,
+pub struct ThreadCell {
     /// Worker threads.
     pub threads: usize,
     /// FNV-1a digest of the deterministic results.
@@ -29,24 +25,24 @@ pub struct LaneCell {
 
 /// The full matrix verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneMatrixVerdict {
+pub struct ThreadMatrixVerdict {
     /// Trials per cell.
     pub trials: u64,
     /// Engine seed (identical in every cell).
     pub seed: u64,
-    /// Every cell, in `(mode, threads)` iteration order.
-    pub cells: Vec<LaneCell>,
+    /// Every cell, in ascending thread order.
+    pub cells: Vec<ThreadCell>,
     /// Whether every cell digested identically.
     pub pass: bool,
 }
 
-impl LaneMatrixVerdict {
+impl ThreadMatrixVerdict {
     /// JSON form (digests as 16-digit hex strings — JSON numbers are
     /// doubles and would round them).
     pub fn to_json(&self) -> Value {
         Value::object([
             ("schema_version", Value::from(1u64)),
-            ("kind", Value::from("lane_matrix_verdict")),
+            ("kind", Value::from("thread_matrix_verdict")),
             ("trials", Value::from(self.trials)),
             ("seed", Value::from(self.seed)),
             (
@@ -56,7 +52,6 @@ impl LaneMatrixVerdict {
                         .iter()
                         .map(|c| {
                             Value::object([
-                                ("lanes", Value::from(c.lanes.label())),
                                 ("threads", Value::from(c.threads as u64)),
                                 ("digest", Value::from(format!("{:016x}", c.digest))),
                             ])
@@ -105,8 +100,8 @@ fn digest_results(results: &mut [ScenarioResult]) -> u64 {
 
 /// Runs the matrix: the paper's Figure 10 arm mix (RelaxFault, FreeFault,
 /// PPR on one shared fault population) at `trials` lifetimes per cell,
-/// every lane mode × thread count, all on one seed.
-pub fn run_lane_matrix(trials: u64, seed: u64) -> LaneMatrixVerdict {
+/// at each thread count, all on one seed.
+pub fn run_thread_matrix(trials: u64, seed: u64) -> ThreadMatrixVerdict {
     let base = Scenario::isca16_baseline().with_replacement(ReplacementPolicy::None);
     let arms = vec![
         base.clone()
@@ -115,25 +110,23 @@ pub fn run_lane_matrix(trials: u64, seed: u64) -> LaneMatrixVerdict {
             .with_mechanism(Mechanism::FreeFault { max_ways: 4 }),
         base.with_mechanism(Mechanism::Ppr),
     ];
-    let mut cells = Vec::new();
-    for mode in LaneMode::ALL {
-        for threads in [1usize, 2, 4] {
+    let cells: Vec<ThreadCell> = [1usize, 2, 4]
+        .into_iter()
+        .map(|threads| {
             let run = RunConfig {
                 trials,
                 seed,
                 threads,
                 chunk_size: 0,
             };
-            let mut results = run_scenarios_with_lanes(&arms, &run, mode);
-            cells.push(LaneCell {
-                lanes: mode,
+            ThreadCell {
                 threads,
-                digest: digest_results(&mut results),
-            });
-        }
-    }
+                digest: digest_results(&mut run_scenarios(&arms, &run)),
+            }
+        })
+        .collect();
     let pass = cells.iter().all(|c| c.digest == cells[0].digest);
-    LaneMatrixVerdict {
+    ThreadMatrixVerdict {
         trials,
         seed,
         cells,
@@ -147,15 +140,15 @@ mod tests {
 
     #[test]
     fn matrix_passes_and_serializes() {
-        let v = run_lane_matrix(600, 0xC1);
-        assert!(v.pass, "lane matrix diverged: {:#?}", v.cells);
-        assert_eq!(v.cells.len(), 9);
+        let v = run_thread_matrix(600, 0xC1);
+        assert!(v.pass, "thread matrix diverged: {:#?}", v.cells);
+        assert_eq!(v.cells.len(), 3);
         let json = v.to_json().to_pretty();
         assert!(json.contains("\"verdict\": \"pass\""));
-        assert!(json.contains("\"lanes\": \"u128\""));
+        assert!(json.contains("\"threads\": 4"));
         // The digest is a function of the results, so a different seed
         // digests differently.
-        let other = run_lane_matrix(600, 0xC2);
+        let other = run_thread_matrix(600, 0xC2);
         assert!(other.pass);
         assert_ne!(other.cells[0].digest, v.cells[0].digest);
     }

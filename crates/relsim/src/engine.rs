@@ -11,9 +11,8 @@ use crate::repro::{trial_digest, ReproCase};
 use crate::scenario::Scenario;
 use relaxfault_dram::DramConfig;
 use relaxfault_faults::{FaultMode, FaultModel, FaultSampler, NodeFaults};
-use relaxfault_util::lanes::{self, Lane, LaneMode};
 use relaxfault_util::obs::{self, Counter, Histogram, Level};
-use relaxfault_util::rng::{first_u64_from_seed, mix64, Rng64};
+use relaxfault_util::rng::{mix64, Rng64};
 use relaxfault_util::stats::{wilson_interval, Ecdf};
 use relaxfault_util::trace_event;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -300,12 +299,7 @@ pub fn eval_rng_seed(seed: u64, trial: u64) -> u64 {
 
 /// One engine worker's reusable state: per-arm accumulators, per-group
 /// samplers, the sampled lifetime buffer, and the arms' evaluation
-/// scratch (one planner per distinct planner key and fault model). Both
-/// the scalar per-trial path and the bit-sliced block path drive the
-/// same faulty-trial pipeline here, so their results are identical by
-/// construction everywhere except the zero-fault gate — and the gate
-/// decision itself is pinned equal by
-/// `FaultSampler::trial_is_clean_from_first`.
+/// scratch (one planner per distinct planner key and fault model).
 struct Worker<'a> {
     scenarios: &'a [Scenario],
     cfg: DramConfig,
@@ -355,32 +349,26 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Retires `count` clean trials of `groups[gi]` in bulk: a clean trial
-    /// contributes nothing but its trial count, so this is the *entire*
-    /// cost of the zero-fault fast path.
-    fn retire_clean(&mut self, gi: usize, count: u64) {
-        let members = &self.groups[gi].1;
-        if self.metrics_on {
-            self.metrics.fast_path_skips.add(count);
-            self.metrics.trial_evals.add(count * members.len() as u64);
-        }
-        for &si in members {
-            self.local[si].trials += count;
-        }
-    }
-
-    /// One trial of every group through the scalar path: one
-    /// precomputed-probability draw (the first of this trial's stream)
-    /// decides whether the lifetime is empty. A clean trial skips sampling
-    /// and evaluation entirely; a full `sample_node` call would return the
-    /// empty lifetime from this same stream, and `evaluate_node` never
-    /// touches its RNG on empty lifetimes — bit-for-bit identical results
-    /// either way.
+    /// One trial of every group: one precomputed-probability draw (the
+    /// first of this trial's stream) decides whether the lifetime is
+    /// empty. A clean trial skips sampling and evaluation entirely; a full
+    /// `sample_node` call would return the empty lifetime from this same
+    /// stream, and `evaluate_node` never touches its RNG on empty
+    /// lifetimes — bit-for-bit identical results either way.
     fn run_trial(&mut self, trial: u64) {
         for gi in 0..self.groups.len() {
             let mut sample_rng = Rng64::seed_from_u64(sample_rng_seed(self.seed, trial, gi as u64));
             if self.samplers[gi].trial_is_clean(&mut sample_rng) {
-                self.retire_clean(gi, 1);
+                // A clean trial contributes nothing but its trial count:
+                // this is the entire cost of the zero-fault fast path.
+                let members = &self.groups[gi].1;
+                if self.metrics_on {
+                    self.metrics.fast_path_skips.inc();
+                    self.metrics.trial_evals.add(members.len() as u64);
+                }
+                for &si in members {
+                    self.local[si].trials += 1;
+                }
                 // The forced-failure hook fires on clean trials too
                 // (digest-less: there is no sampled population to pin), so
                 // CI can exercise the repro loop on any trial index
@@ -388,7 +376,7 @@ impl<'a> Worker<'a> {
                 if self.check_on && self.forced_fail == Some(trial) {
                     rf_check_failure(
                         self.scenarios,
-                        &self.groups[gi].1,
+                        members,
                         self.seed,
                         trial,
                         gi as u64,
@@ -402,55 +390,10 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// The trial range `[lo, hi)` through the bit-sliced gate: full
-    /// `L::BITS`-trial blocks pack their gate verdicts into one lane mask
-    /// (bit `i` ⇔ trial `block + i` is faulty) computed straight from each
-    /// stream's first raw draw — no generator construction, no floats.
-    /// Clean trials retire in one popcount; the surviving bits walk the
-    /// scalar faulty pipeline in ascending trial order. The sub-block
-    /// remainder tail falls back to the scalar per-trial path.
-    fn run_range_sliced<L: Lane>(&mut self, lo: u64, hi: u64) {
-        let bits = L::BITS as u64;
-        let mut block = lo;
-        while block + bits <= hi {
-            for gi in 0..self.groups.len() {
-                let sampler = &self.samplers[gi];
-                let seed = self.seed;
-                let faulty: L = lanes::pack(L::BITS, |i| {
-                    let first =
-                        first_u64_from_seed(sample_rng_seed(seed, block + i as u64, gi as u64));
-                    !sampler.trial_is_clean_from_first(first)
-                });
-                let clean = (L::BITS - faulty.popcount()) as u64;
-                if clean != 0 {
-                    self.retire_clean(gi, clean);
-                }
-                let mut m = faulty;
-                while m != L::ZERO {
-                    let trial = block + m.trailing_zeros() as u64;
-                    m = m.clear_lowest();
-                    let mut sample_rng =
-                        Rng64::seed_from_u64(sample_rng_seed(self.seed, trial, gi as u64));
-                    // Consume the gate draw so the stream position matches
-                    // the scalar path exactly.
-                    let gate = self.samplers[gi].trial_is_clean(&mut sample_rng);
-                    debug_assert!(!gate, "lane gate disagreed with the scalar gate");
-                    let _ = gate;
-                    self.run_faulty(trial, gi, &mut sample_rng);
-                }
-            }
-            block += bits;
-        }
-        for trial in block..hi {
-            self.run_trial(trial);
-        }
-    }
-
-    /// The faulty-trial pipeline, shared verbatim by both paths:
-    /// sample the conditional lifetime, plan it once per distinct planner
-    /// among the member arms, then replay every member arm from its plan.
-    /// `sample_rng` must be positioned immediately after the failed gate
-    /// draw.
+    /// The faulty-trial pipeline: sample the conditional lifetime, plan it
+    /// once per distinct planner among the member arms, then replay every
+    /// member arm from its plan. `sample_rng` must be positioned
+    /// immediately after the failed gate draw.
     fn run_faulty(&mut self, trial: u64, gi: usize, sample_rng: &mut Rng64) {
         let scenarios = self.scenarios;
         let groups = self.groups;
@@ -560,71 +503,34 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Runs every scenario arm over `run.trials` node lifetimes with the
-/// process-global lane mode ([`lanes::mode`], settable via `RF_LANES` or
-/// `--lanes`). See [`run_scenarios_with_lanes`].
-///
-/// # Panics
-///
-/// Panics if `scenarios` is empty or arms disagree on the DRAM config.
-pub fn run_scenarios(scenarios: &[Scenario], run: &RunConfig) -> Vec<ScenarioResult> {
-    run_scenarios_with_lanes(scenarios, run, lanes::mode())
-}
-
-/// Runs every scenario arm over `run.trials` node lifetimes with an
-/// explicit trial-lane mode.
+/// Runs every scenario arm over `run.trials` node lifetimes.
 ///
 /// Arms with identical fault models see identical fault populations, and
 /// every trial's RNG streams are keyed on `(seed, trial, group)` — never on
 /// which worker thread ran the trial — so results are bit-identical for a
 /// given seed at any `threads` setting.
 ///
-/// Under [`LaneMode::U64`]/[`LaneMode::U128`] the zero-fault gate is
-/// evaluated bit-sliced, `L::BITS` trials per lane word: the gate verdicts
-/// pack into a fault mask, clean trials retire in bulk via popcount, and
-/// only the set bits walk the full sample/evaluate pipeline. Chunk-tail
-/// remainders shorter than a lane word fall back to the scalar path, and
-/// `RF_CHECK=1` forces the scalar path entirely (the in-loop invariant
-/// hooks are per-trial). Every mode is bit-identical to
-/// [`LaneMode::Scalar`] — pinned by the `relcheck` `lanes` oracle and the
-/// unit tests here.
-///
 /// # Panics
 ///
 /// Panics if `scenarios` is empty or arms disagree on the DRAM config.
-pub fn run_scenarios_with_lanes(
-    scenarios: &[Scenario],
-    run: &RunConfig,
-    lane_mode: LaneMode,
-) -> Vec<ScenarioResult> {
+pub fn run_scenarios(scenarios: &[Scenario], run: &RunConfig) -> Vec<ScenarioResult> {
     assert!(!scenarios.is_empty(), "no scenarios given");
     let cfg = scenarios[0].dram;
     assert!(
         scenarios.iter().all(|s| s.dram == cfg),
         "all arms must share one DRAM geometry"
     );
-    // RF_CHECK's in-loop invariant hooks are per-trial (digests, repro
-    // emission), so checking runs always take the scalar path.
-    let mode = if rf_check_enabled() {
-        LaneMode::Scalar
-    } else {
-        lane_mode
-    };
     trace_event!(target: "relsim", Level::Info, "run_start",
-        arms = scenarios.len(), trials = run.trials, seed = run.seed,
-        lanes = mode.label());
+        arms = scenarios.len(), trials = run.trials, seed = run.seed);
     if obs::metrics_enabled() || obs::enabled("relsim", Level::Info) {
-        // Fold the full scenario configuration (and trial count, and the
-        // effective lane mode) into one hash so the run manifest records
-        // *what* was simulated — history series stay comparable per lane
-        // config. Gated so the disabled path stays free of JSON
-        // serialization.
+        // Fold the full scenario configuration and trial count into one
+        // hash so the run manifest records *what* was simulated. Gated so
+        // the disabled path stays free of JSON serialization.
         let mut config = String::new();
         for s in scenarios {
             config.push_str(&s.to_json().to_pretty());
         }
         config.push_str(&run.trials.to_string());
-        config.push_str(mode.label());
         obs::note_run_context(
             run.seed,
             run.threads.max(1) as u64,
@@ -665,15 +571,8 @@ pub fn run_scenarios_with_lanes(
                     if lo >= trials {
                         break;
                     }
-                    let hi = (lo + chunk).min(trials);
-                    match mode {
-                        LaneMode::Scalar => {
-                            for trial in lo..hi {
-                                worker.run_trial(trial);
-                            }
-                        }
-                        LaneMode::U64 => worker.run_range_sliced::<u64>(lo, hi),
-                        LaneMode::U128 => worker.run_range_sliced::<u128>(lo, hi),
+                    for trial in lo..(lo + chunk).min(trials) {
+                        worker.run_trial(trial);
                     }
                 }
                 worker.local
@@ -901,60 +800,6 @@ mod tests {
                     r, reference,
                     "threads={threads} chunk_size={chunk_size} diverged"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_modes_are_bit_identical() {
-        // The bit-sliced gate must reproduce the scalar engine exactly:
-        // every lane mode, thread count, and chunk size — including chunks
-        // that are never a multiple of the lane width, so every chunk ends
-        // in a scalar remainder tail — yields the same results. 300 trials
-        // also leaves a sub-block tail at the end of the run itself.
-        let arms = vec![
-            Scenario::isca16_baseline()
-                .with_mechanism(Mechanism::RelaxFault { max_ways: 4 })
-                .with_replacement(ReplacementPolicy::None),
-            Scenario::isca16_baseline().with_mechanism(Mechanism::Ppr),
-        ];
-        let cfg = |threads, chunk_size| RunConfig {
-            trials: 300,
-            seed: 42,
-            threads,
-            chunk_size,
-        };
-        let reference = run_scenarios_with_lanes(&arms, &cfg(1, 0), LaneMode::Scalar);
-        for mode in [LaneMode::U64, LaneMode::U128] {
-            for threads in [1usize, 2, 4] {
-                for chunk_size in [0u64, 1, 77, 131] {
-                    let r = run_scenarios_with_lanes(&arms, &cfg(threads, chunk_size), mode);
-                    assert_eq!(
-                        r,
-                        reference,
-                        "{} threads={threads} chunk_size={chunk_size} diverged",
-                        mode.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_tail_shorter_than_a_block_matches_scalar() {
-        // Runs smaller than one lane word exercise the pure-tail path.
-        let arms = vec![Scenario::isca16_baseline().with_mechanism(Mechanism::Ppr)];
-        for trials in [1u64, 63, 64, 65, 127, 128, 129] {
-            let run = RunConfig {
-                trials,
-                seed: 7,
-                threads: 2,
-                chunk_size: 0,
-            };
-            let reference = run_scenarios_with_lanes(&arms, &run, LaneMode::Scalar);
-            for mode in [LaneMode::U64, LaneMode::U128] {
-                let r = run_scenarios_with_lanes(&arms, &run, mode);
-                assert_eq!(r, reference, "{} trials={trials}", mode.label());
             }
         }
     }

@@ -21,9 +21,6 @@
 //!   choice stream, with shrinking) the invariant suites run on.
 //! * [`json`] — a minimal JSON value/emitter/parser for machine-readable
 //!   results and scenario dumps.
-//! * [`lanes`] — bitplane lanes (u64/u128) for the bit-sliced Monte Carlo
-//!   trial kernel: transpose, popcount-reduce, lane-masked select, and the
-//!   run-time [`lanes::LaneMode`] selector.
 //! * [`obs`] — structured observability: leveled event tracing into
 //!   bounded per-thread rings with a deterministic merged stream, a
 //!   metrics registry (counters, gauges, log-linear histograms), RAII span
@@ -59,7 +56,6 @@ pub mod dist;
 pub mod hash;
 pub mod history;
 pub mod json;
-pub mod lanes;
 pub mod obs;
 pub mod persist;
 pub mod prop;

@@ -1044,10 +1044,6 @@ pub struct Manifest {
     pub git_sha: String,
     /// Cargo profile: `"release"` or `"debug"`.
     pub profile: &'static str,
-    /// Trial-lane mode of the bit-sliced engine (`"scalar"`, `"u64"`,
-    /// `"u128"`; see [`crate::lanes::mode`]). Recorded so history series
-    /// compare like against like per lane configuration.
-    pub lanes: &'static str,
     /// Worker threads the simulators used (0 when none ran).
     pub threads: u64,
     /// Every distinct RNG seed the simulators were given, in first-use order.
@@ -1078,7 +1074,6 @@ impl Manifest {
             } else {
                 "release"
             },
-            lanes: crate::lanes::mode().label(),
             threads: ctx.threads,
             seeds: ctx.seeds.clone(),
             config_hash: ctx.config_hash,
@@ -1096,7 +1091,6 @@ impl Manifest {
             ("run", Value::from(self.run.as_str())),
             ("git_sha", Value::from(self.git_sha.as_str())),
             ("profile", Value::from(self.profile)),
-            ("lanes", Value::from(self.lanes)),
             ("threads", Value::from(self.threads)),
             (
                 "seeds",

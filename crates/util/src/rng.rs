@@ -97,19 +97,6 @@ impl Xoshiro256StarStar {
     }
 }
 
-/// The *first* output of `Rng64::seed_from_u64(seed)` without building
-/// the generator: xoshiro256\*\*'s first result reads only `s[1]` (the
-/// second SplitMix64 expansion draw), so two mixer steps and the star-star
-/// scrambler suffice. The bit-sliced trial kernel uses this to test a
-/// whole block's zero-fault gates without constructing any generator
-/// state; `tests::first_u64_matches_full_construction` pins the identity.
-pub fn first_u64_from_seed(seed: u64) -> u64 {
-    let mut sm = SplitMix64::new(seed);
-    sm.next_u64();
-    let s1 = sm.next_u64();
-    s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
-}
-
 /// The integer threshold `t` such that, for any generator output `u`,
 /// `(u >> 11) < t` holds exactly when the canonical `f64` conversion of
 /// `u` (see [`FromRng`] for `f64`) is `< p`. In other words:
@@ -485,14 +472,6 @@ mod tests {
         // Must not panic or loop; spans the wrap-around span == 0 path.
         for _ in 0..10 {
             let _ = rng.gen_range(0u64..=u64::MAX);
-        }
-    }
-
-    #[test]
-    fn first_u64_matches_full_construction() {
-        for seed in (0..500u64).chain([u64::MAX, 0xDEAD_BEEF, 1 << 63]) {
-            let mut rng = Rng64::seed_from_u64(seed);
-            assert_eq!(first_u64_from_seed(seed), rng.next_u64(), "seed {seed}");
         }
     }
 

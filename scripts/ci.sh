@@ -60,14 +60,13 @@ cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/relchec
 cargo run --release -q -p relaxfault-relcheck --bin relcheck -- replay "$repro" \
     || exit 3
 
-# Lane-matrix gate: the bit-sliced trial kernel must be indistinguishable
-# from the scalar path. One pinned scenario mix is digested across every
-# (lane mode, thread count) cell of {scalar,u64,u128} x {1,2,4}; all nine
-# digests must be identical bit for bit. The verdict JSON (one digest per
-# cell) is archived under results/ci/. Any divergence exits 7.
-cargo run --release -q -p relaxfault-relcheck --bin relcheck -- lane-matrix \
-    --trials 4000 --out results/ci/lane_matrix_verdict.json \
-    || { echo "lane-matrix gate: lane modes diverged" >&2; exit 7; }
+# Thread-matrix gate: which worker runs a trial must never change its
+# result. One pinned scenario mix is digested at 1, 2 and 4 threads; all
+# three digests must be identical bit for bit. The verdict JSON (one
+# digest per cell) is archived under results/ci/. Any divergence exits 7.
+cargo run --release -q -p relaxfault-relcheck --bin relcheck -- thread-matrix \
+    --trials 4000 --out results/ci/thread_matrix_verdict.json \
+    || { echo "thread-matrix gate: thread counts diverged" >&2; exit 7; }
 
 # Fleet checkpoint/resume determinism gate: a 1M-node fleet over 20
 # epochs runs to completion once; it must leave a progress document

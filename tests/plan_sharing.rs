@@ -6,11 +6,9 @@
 //! scratch (the fleet replays both its prefixes from one plan).
 
 use relaxfault::prelude::*;
-use relaxfault::relsim::engine::run_scenarios_with_lanes;
 use relaxfault::relsim::{
     evaluate_events_with, plan_events, replay_events, EvalScratch, EventPlan,
 };
-use relaxfault::util::lanes::LaneMode;
 use relaxfault::util::rng::{mix64, Rng64};
 
 /// The Figs 12–14 matrix (None, PPR, FreeFault-1/4, RelaxFault-1/4, each
@@ -52,29 +50,24 @@ fn joint_run_equals_solo_runs() {
     for (fit_scale, trials) in [(1.0, 1500u64), (40.0, 400)] {
         let arms = arms(fit_scale);
         for threads in [1usize, 2] {
-            for lanes in [LaneMode::Scalar, LaneMode::U64] {
-                let run = RunConfig {
-                    trials,
-                    seed: 2016,
-                    threads,
-                    chunk_size: 0,
-                };
-                let joint = run_scenarios_with_lanes(&arms, &run, lanes);
-                assert!(
-                    joint[0].faulty_nodes > 0,
-                    "{fit_scale}x: no faulty trial to plan"
+            let run = RunConfig {
+                trials,
+                seed: 2016,
+                threads,
+                chunk_size: 0,
+            };
+            let joint = run_scenarios(&arms, &run);
+            assert!(
+                joint[0].faulty_nodes > 0,
+                "{fit_scale}x: no faulty trial to plan"
+            );
+            for (arm, shared) in arms.iter().zip(&joint) {
+                let solo = run_scenarios(std::slice::from_ref(arm), &run);
+                assert_eq!(
+                    &solo[0], shared,
+                    "{fit_scale}x FIT, threads {threads}: {:?} {:?} diverged",
+                    arm.mechanism, arm.replacement
                 );
-                for (arm, shared) in arms.iter().zip(&joint) {
-                    let solo = run_scenarios_with_lanes(std::slice::from_ref(arm), &run, lanes);
-                    assert_eq!(
-                        &solo[0],
-                        shared,
-                        "{fit_scale}x FIT, threads {threads}, {}: {:?} {:?} diverged",
-                        lanes.label(),
-                        arm.mechanism,
-                        arm.replacement
-                    );
-                }
             }
         }
     }
