@@ -1,5 +1,5 @@
 //! Figure-farm orchestrator: regenerates the paper's result set as a
-//! resumable DAG of figure/table jobs with auto-repair.
+//! resumable list of independent figure/table jobs with auto-repair.
 //!
 //! ```text
 //! farm run --matrix=figures|mini [--dir=PATH] [--jobs=N] [--scale=F]
@@ -9,40 +9,41 @@
 //! Each job spawns the sibling `fig*`/`table*` binary named by its id
 //! (found next to the `farm` executable) with `RF_RESULTS_DIR` pointed at
 //! `--dir` and `RF_RUN_NAME` set to the job id, so every job leaves its
-//! tables and obs snapshot under one results root. Durable farm state
-//! (the `farm_state` ledger and per-job `farm_job` manifests) lands under
+//! tables and obs snapshot under one results root. The one durable
+//! record of the farm itself, the `farm_state` ledger, lands under
 //! `<dir>/farm/`; a killed farm resumes with `--resume`, skipping
 //! ledgered-ok jobs after a drift check and re-running everything else.
 //!
-//! * `--matrix=figures` is the full 14-bin paper set with its dependency
-//!   tiers; `--matrix=mini` is the 3-job chain the CI gate uses.
+//! * `--matrix=figures` is the full 13-bin paper set; `--matrix=mini` is
+//!   the 3-job list the CI gate uses. No job reads another's output.
 //! * `--scale=F` multiplies every job's trial/instruction count (floor
-//!   50), so CI can run the same DAG in seconds. Scale changes job
+//!   50), so CI can run the same list in seconds. Scale changes job
 //!   digests: a resume must pass the same `--scale` as the original run.
-//! * `--jobs=N` sizes the worker pool (default 2 — each child already
-//!   parallelises internally); the most expensive ready job starts first.
-//!   Every job is seeded, so a failed job is not retried: the repair
-//!   loop below captures its diagnostics instead.
+//! * `--jobs=N` caps the jobs in flight (default 2 — each child already
+//!   parallelises internally); the most expensive queued job starts
+//!   first, ties by id. Every job is seeded, so a failed job is not
+//!   retried: the repair loop below captures its diagnostics instead.
 //! * `--fail-job=ID` runs that job's child under `RF_CHECK=1
 //!   RF_CHECK_FAIL_TRIAL=0`, forcing a deterministic engine-check failure
-//!   that writes a relcheck ReproCase — the auto-repair loop then
-//!   archives the case next to the job's manifest
-//!   (`<dir>/farm/jobs/<ID>.repro.json`) and re-queues an in-process
-//!   `relcheck replay` of it as a diagnostic job, while the rest of the
-//!   DAG keeps running.
+//!   that writes a relcheck ReproCase and names it in its panic message.
+//!   The failed job's ledger entry records that first panic as its
+//!   reason; the auto-repair loop archives the named case
+//!   (`<dir>/farm/jobs/<ID>.repro.json`, also recorded in the entry) and
+//!   re-queues an in-process `relcheck replay` of it as a diagnostic job,
+//!   while the other jobs keep running.
 //! * `RF_FARM_CRASH_AT=<job>` (boundary) / `mid:<job>` kills the farm for
 //!   the crash/resume gate, exactly like `RF_FLEET_CRASH_AT` does for the
 //!   fleet simulator.
 //!
-//! Exit codes: 0 every matrix job ok; 1 usage error; 3 the DAG completed
-//! but some jobs failed or were blocked (their manifests carry the
-//! reasons); 4 the farm itself died (injected crash, ledger drift, or a
-//! persistence failure) — a crash dump is written and the run resumes
-//! with `--resume`.
+//! Exit codes: 0 every matrix job ok; 1 usage error; 3 every job ran but
+//! some failed (their ledger entries carry the reasons); 4 the farm
+//! itself died (injected crash, ledger drift, or a persistence failure) —
+//! a crash dump is written and the run resumes with `--resume`.
 
 use relaxfault_bench::emit;
 use relaxfault_farm::{
-    crash_at_from_env, repro_archive_path, Farm, FarmConfig, Job, JobFailure, JobSpec, Repair,
+    crash_at_from_env, ledger_path, repro_archive_path, Farm, FarmConfig, Job, JobFailure, JobSpec,
+    Repair,
 };
 use relaxfault_relcheck::replay::{load_any, replay, LoadedCase};
 use relaxfault_util::crashdump::CrashDump;
@@ -54,108 +55,33 @@ use std::process::{Command, ExitCode};
 const USAGE: &str = "usage: farm run --matrix=figures|mini [--dir=PATH] [--jobs=N] \
                      [--scale=F] [--resume] [--fail-job=ID]";
 
-/// One matrix entry: the sibling binary to spawn, its dependency tier,
-/// and the paper-scale work amount (`None` = the bin takes no positional
-/// work argument).
-struct JobDef {
-    bin: &'static str,
-    deps: &'static [&'static str],
-    work: Option<u64>,
-}
+/// One matrix entry: the sibling binary to spawn and its paper-scale
+/// work amount (`None` = the bin takes no positional work argument).
+type JobDef = (&'static str, Option<u64>);
 
-/// The full paper set: 14 figure/table bins in dependency tiers —
-/// configuration and field-study roots, then coverage, reliability, and
-/// performance tiers, then the ablation summary that reads across them.
+/// The full paper set: 13 figure/table bins. `fig15_performance` emits
+/// Figures 15 and 16 from one perf sweep.
 const FIGURES: &[JobDef] = &[
-    JobDef {
-        bin: "table3_config",
-        deps: &[],
-        work: None,
-    },
-    JobDef {
-        bin: "table4_workloads",
-        deps: &[],
-        work: None,
-    },
-    JobDef {
-        bin: "fig02_table2",
-        deps: &[],
-        work: None,
-    },
-    JobDef {
-        bin: "table1_overhead",
-        deps: &["table3_config"],
-        work: None,
-    },
-    JobDef {
-        bin: "fig08_hashing",
-        deps: &["table3_config"],
-        work: Some(60_000),
-    },
-    JobDef {
-        bin: "fig10_coverage",
-        deps: &["table3_config"],
-        work: Some(600_000),
-    },
-    JobDef {
-        bin: "fig11_coverage_10x",
-        deps: &["fig10_coverage"],
-        work: Some(400_000),
-    },
-    JobDef {
-        bin: "fig09_sensitivity",
-        deps: &["fig02_table2"],
-        work: Some(60_000),
-    },
-    JobDef {
-        bin: "fig12_dues",
-        deps: &["fig02_table2", "table3_config"],
-        work: Some(2_000_000),
-    },
-    JobDef {
-        bin: "fig13_sdcs",
-        deps: &["fig02_table2", "table3_config"],
-        work: Some(4_000_000),
-    },
-    JobDef {
-        bin: "fig14_replacements",
-        deps: &["fig12_dues"],
-        work: Some(200_000),
-    },
-    JobDef {
-        bin: "fig15_performance",
-        deps: &["table3_config", "table4_workloads"],
-        work: Some(300_000),
-    },
-    JobDef {
-        bin: "fig16_power",
-        deps: &["fig15_performance"],
-        work: Some(300_000),
-    },
-    JobDef {
-        bin: "ablation_design",
-        deps: &["fig10_coverage", "fig12_dues"],
-        work: Some(40_000),
-    },
+    ("table3_config", None),
+    ("table4_workloads", None),
+    ("fig02_table2", None),
+    ("table1_overhead", None),
+    ("fig08_hashing", Some(60_000)),
+    ("fig09_sensitivity", Some(60_000)),
+    ("fig10_coverage", Some(600_000)),
+    ("fig11_coverage_10x", Some(400_000)),
+    ("fig12_dues", Some(2_000_000)),
+    ("fig13_sdcs", Some(4_000_000)),
+    ("fig14_replacements", Some(200_000)),
+    ("fig15_performance", Some(300_000)),
+    ("ablation_design", Some(40_000)),
 ];
 
-/// The 3-job chain the CI crash/resume gate drives.
+/// The 3-job list the CI crash/resume gate drives.
 const MINI: &[JobDef] = &[
-    JobDef {
-        bin: "table3_config",
-        deps: &[],
-        work: None,
-    },
-    JobDef {
-        bin: "fig08_hashing",
-        deps: &["table3_config"],
-        work: Some(60_000),
-    },
-    JobDef {
-        bin: "fig10_coverage",
-        deps: &["fig08_hashing"],
-        work: Some(600_000),
-    },
+    ("table3_config", None),
+    ("fig08_hashing", Some(60_000)),
+    ("fig10_coverage", Some(600_000)),
 ];
 
 struct Args {
@@ -210,7 +136,7 @@ fn parse_args() -> Result<Args, String> {
         return Err(format!("--scale={} must be a positive number", args.scale));
     }
     if let Some(fail) = &args.fail_job {
-        if !args.matrix.iter().any(|d| d.bin == *fail) {
+        if !args.matrix.iter().any(|(bin, _)| bin == fail) {
             return Err(format!(
                 "--fail-job={fail}: not a job of the {} matrix",
                 args.matrix_name
@@ -222,35 +148,43 @@ fn parse_args() -> Result<Args, String> {
 
 /// A job's scaled work amount (floor 50 so a tiny `--scale` still runs a
 /// meaningful Monte Carlo).
-fn scaled_work(def: &JobDef, scale: f64) -> Option<u64> {
-    def.work
-        .map(|w| ((w as f64 * scale).round() as u64).max(50))
+fn scaled_work(work: Option<u64>, scale: f64) -> Option<u64> {
+    work.map(|w| ((w as f64 * scale).round() as u64).max(50))
 }
 
 /// The job spec: id = bin name, cost proportional to the scaled work (so
 /// the dispatcher starts the longest jobs first — and so a different
 /// `--scale` changes the digests and is rejected as drift on resume).
-fn spec_for(def: &JobDef, scale: f64) -> JobSpec {
-    let mut spec =
-        JobSpec::new(def.bin).cost(scaled_work(def, scale).map_or(1, |w| (w / 10_000).max(1)));
-    for d in def.deps {
-        spec = spec.dep(*d);
-    }
-    spec
+fn spec_for(&(bin, work): &JobDef, scale: f64) -> JobSpec {
+    JobSpec::new(bin).cost(scaled_work(work, scale).map_or(1, |w| (w / 10_000).max(1)))
+}
+
+/// The message of the child's first panic: the lines after its
+/// `panicked at` line, up to the `RUST_BACKTRACE` note, the backtrace,
+/// or the blank line that opens the next panic. Later panics, such as
+/// the main thread's `worker thread panicked`, only echo the first.
+fn first_panic(stderr: &str) -> Option<Vec<&str>> {
+    let mut lines = stderr.lines().skip_while(|l| !l.contains(" panicked at "));
+    lines.next()?;
+    Some(
+        lines
+            .take_while(|l| !(l.is_empty() || l.starts_with("note: ") || *l == "stack backtrace:"))
+            .collect(),
+    )
 }
 
 /// The job body: spawn the sibling binary with the job's work amount,
 /// its results root, and its run name. Failure reason = exit status plus
-/// the tail of the child's stderr.
+/// the child's first panic message, or the tail of its stderr when it
+/// did not panic.
 fn job_body(
-    def: &JobDef,
+    &(bin, work): &JobDef,
     scale: f64,
     force_fail: bool,
     exe_dir: PathBuf,
     results: PathBuf,
 ) -> impl Fn(&relaxfault_farm::JobCtx) -> Result<(), String> + Send + 'static {
-    let bin = def.bin;
-    let work = scaled_work(def, scale);
+    let work = scaled_work(work, scale);
     move |ctx| {
         let exe = exe_dir.join(bin);
         let mut cmd = Command::new(&exe);
@@ -269,48 +203,36 @@ fn job_body(
             .map_err(|e| format!("cannot spawn {}: {e}", exe.display()))?;
         if out.status.success() {
             println!("farm: {} ok", ctx.id);
-            Ok(())
-        } else {
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            // The panic message precedes the backtrace; frame lists are
-            // noise in a manifest reason.
-            let stderr = stderr.split("stack backtrace:").next().unwrap_or(&stderr);
+            return Ok(());
+        }
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let detail = first_panic(&stderr).unwrap_or_else(|| {
             let mut tail: Vec<&str> = stderr.lines().rev().take(4).collect();
             tail.reverse();
-            Err(format!(
-                "{bin} exited with {}: {}",
-                out.status,
-                tail.join(" | ")
-            ))
-        }
+            tail
+        });
+        Err(format!(
+            "{bin} exited with {}: {}",
+            out.status,
+            detail.join(" | ")
+        ))
     }
 }
 
-/// The newest relcheck ReproCase under `<results>/relcheck/`, by mtime —
-/// the case the just-failed child captured.
-fn newest_repro(dir: &Path) -> Option<PathBuf> {
-    let mut best: Option<(std::time::SystemTime, PathBuf)> = None;
-    for entry in std::fs::read_dir(dir).ok()?.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        if !matches!(load_any(&path), Ok(LoadedCase::Repro(_))) {
-            continue;
-        }
-        let modified = entry.metadata().and_then(|m| m.modified()).ok()?;
-        if best.as_ref().is_none_or(|(t, _)| modified >= *t) {
-            best = Some((modified, path));
-        }
-    }
-    best.map(|(_, path)| path)
+/// The ReproCase a failed child named on the `repro written to <path> —
+/// rerun ...` line of its first panic, which the failure reason carries.
+fn named_repro(reason: &str) -> Option<PathBuf> {
+    let (_, rest) = reason.split_once("repro written to ")?;
+    let path = rest.split(" — ").next()?.split(" | ").next()?;
+    Some(PathBuf::from(path.trim()))
 }
 
-/// The auto-repair hook: archive the captured ReproCase next to the
-/// failed job's manifest and re-queue an in-process `relcheck replay` of
-/// the archive as a diagnostic job (`<id>-repro`, role `repro`).
+/// The auto-repair hook: archive the ReproCase the failed child named
+/// and re-queue an in-process `relcheck replay` of the archive as a
+/// diagnostic job (`<id>-repro`, role `repro`). A failure that named no
+/// case gets no repair.
 fn repair(results: &Path, failure: &JobFailure) -> Option<Repair> {
-    let case = newest_repro(&results.join("relcheck"))?;
+    let case = named_repro(failure.reason)?;
     let archive = repro_archive_path(results, failure.id);
     std::fs::create_dir_all(archive.parent()?).ok()?;
     std::fs::copy(&case, &archive).ok()?;
@@ -383,8 +305,8 @@ fn main() -> ExitCode {
     cfg.crash_at = crash_at_from_env();
     cfg.resume = args.resume;
     let mut farm = Farm::new(cfg);
-    for def in args.matrix {
-        let force_fail = args.fail_job.as_deref() == Some(def.bin);
+    for def @ &(bin, _) in args.matrix {
+        let force_fail = args.fail_job.as_deref() == Some(bin);
         farm.job(
             spec_for(def, args.scale),
             job_body(
@@ -420,9 +342,6 @@ fn main() -> ExitCode {
             for (id, reason) in &report.failed {
                 rows.push((id.clone(), "failed".into(), reason.clone()));
             }
-            for id in &report.blocked {
-                rows.push((id.clone(), "blocked".into(), "dependency failed".into()));
-            }
             for (id, ok) in &report.repro {
                 let detail = if *ok {
                     "replay reproduced"
@@ -438,26 +357,22 @@ fn main() -> ExitCode {
             emit(
                 "farm_summary",
                 &format!(
-                    "Figure farm: {} matrix ({} ok, {} skipped, {} failed, {} blocked, \
-                     {} attempts)",
+                    "Figure farm: {} matrix ({} ok, {} skipped, {} failed)",
                     args.matrix_name,
                     report.completed.len(),
                     report.skipped.len(),
-                    report.failed.len(),
-                    report.blocked.len(),
-                    report.attempts
+                    report.failed.len()
                 ),
                 &t,
             );
             relaxfault_bench::obs_finish();
-            if report.failed.is_empty() && report.blocked.is_empty() {
+            if report.failed.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 eprintln!(
-                    "farm: {} job(s) failed, {} blocked — see {}",
+                    "farm: {} job(s) failed — see {}",
                     report.failed.len(),
-                    report.blocked.len(),
-                    relaxfault_farm::farm_dir(&results).join("jobs").display()
+                    ledger_path(&results).display()
                 );
                 ExitCode::from(3)
             }

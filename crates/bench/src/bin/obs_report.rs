@@ -4,7 +4,6 @@
 //! obs_report ingest [--results DIR]
 //! obs_report report [--results DIR] [--ledger PATH] [--out PATH] [--check] [--rotate]
 //! obs_report extend --series NAME --factor F --count N [--ledger PATH] [--results DIR]
-//! obs_report farm [--results DIR] [--check]
 //! ```
 //!
 //! * `ingest` sweeps `<results>/obs/*.json` metrics snapshots into the
@@ -22,22 +21,15 @@
 //!   carrying `--series`, with that median multiplied by `--factor` —
 //!   the injection harness the CI history gate uses to prove the
 //!   detector catches a 2× regression.
-//! * `farm` renders the figure-farm dashboard: the `farm_state` ledger
-//!   plus every job manifest under `<results>/farm/jobs/`, one row per
-//!   job (role, status, attempts, cost, repro archive), mirrored to
-//!   `<results>/farm/report.txt`. With `--check` it exits 1 when any
-//!   matrix job is failed or blocked.
 //!
 //! Exit codes: `0` clean, `1` regression found by `--check`, `2` usage
 //! or I/O error — the same contract as `obs_diff`.
 
 use relaxfault_bench::report;
-use relaxfault_farm::{FarmLedger, JobManifest, JobStatus};
 use relaxfault_util::history::Ledger;
 use relaxfault_util::json::Value;
 use relaxfault_util::obs;
-use relaxfault_util::persist::{self, Persist};
-use relaxfault_util::table::Table;
+use relaxfault_util::persist;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -209,77 +201,10 @@ fn extend(f: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Renders the figure-farm dashboard from the durable farm state: the
-/// ledger's matrix digest plus one row per job manifest, diagnostics
-/// included. Mirrored to `<results>/farm/report.txt` so the dashboard
-/// survives next to the artifacts it describes.
-fn farm_report(f: &Flags) -> Result<ExitCode, String> {
-    let dir = results_dir(&f.results);
-    let farm = relaxfault_farm::farm_dir(Path::new(&dir));
-    let ledger = FarmLedger::load(&relaxfault_farm::ledger_path(Path::new(&dir)))?;
-    let jobs_dir = farm.join("jobs");
-    let mut manifests: Vec<JobManifest> = Vec::new();
-    let entries =
-        std::fs::read_dir(&jobs_dir).map_err(|e| format!("{}: {e}", jobs_dir.display()))?;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        // Repro archives sit next to the manifests; they are relcheck
-        // cases, not manifests.
-        if !name.ends_with(".json") || name.ends_with(".repro.json") {
-            continue;
-        }
-        manifests.push(JobManifest::load(&path)?);
-    }
-    manifests.sort_by(|a, b| a.id.cmp(&b.id));
-    let mut t = Table::new(&["job", "role", "status", "attempts", "cost", "repro"]);
-    for m in &manifests {
-        t.row(&[
-            m.id.clone(),
-            m.role.as_str().into(),
-            m.status.as_str().into(),
-            m.attempts.to_string(),
-            m.cost.to_string(),
-            m.repro.clone().unwrap_or_else(|| "-".into()),
-        ]);
-    }
-    let title = format!(
-        "Figure farm: {} manifest(s), matrix digest {:#018x}",
-        manifests.len(),
-        ledger.spec_digest
-    );
-    println!("== {title} ==");
-    print!("{}", t.render());
-    let bad: Vec<&JobManifest> = manifests
-        .iter()
-        .filter(|m| matches!(m.status, JobStatus::Failed | JobStatus::Blocked))
-        .collect();
-    for m in &bad {
-        println!(
-            "{} {}: {}",
-            m.status.as_str().to_uppercase(),
-            m.id,
-            m.reason.as_deref().unwrap_or("(no reason recorded)")
-        );
-    }
-    persist::atomic_write(
-        &farm.join("report.txt"),
-        &format!("{title}\n{}", t.render()),
-    )
-    .map_err(|e| format!("cannot write farm report: {e}"))?;
-    if f.check && !bad.is_empty() {
-        return Ok(ExitCode::from(1));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn run() -> Result<ExitCode, String> {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().ok_or(
-        "usage: obs_report <ingest|report|extend|farm> [flags]\n\
+        "usage: obs_report <ingest|report|extend> [flags]\n\
          see the module docs (or DESIGN.md §6.2) for the flag list",
     )?;
     let f = parse_flags(args)?;
@@ -287,7 +212,6 @@ fn run() -> Result<ExitCode, String> {
         "ingest" => ingest(&f),
         "report" => run_report(&f),
         "extend" => extend(&f),
-        "farm" => farm_report(&f),
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }

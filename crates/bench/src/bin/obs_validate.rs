@@ -7,11 +7,10 @@
 //!   manifest naming the file stem, and at least one populated counter or
 //!   histogram.
 //! * Kind-tagged artifacts (`relcheck_repro`, `fleet_checkpoint`,
-//!   `crash_dump`, `farm_job`, `farm_state`) must pass their type's
-//!   strict [`Persist`] decoder, which carries every invariant `load`
-//!   enforces too. Two checks live here because they need the file path
-//!   or a crate `util` cannot see: a job manifest's id must equal its
-//!   file stem, and a crash dump's embedded checkpoint must decode as a
+//!   `crash_dump`, `farm_state`) must pass their type's strict
+//!   [`Persist`] decoder, which carries every invariant `load` enforces
+//!   too. One check lives here because it needs a crate `util` cannot
+//!   see: a crash dump's embedded checkpoint must decode as a
 //!   [`FleetCheckpoint`]. One kind must not mix schema versions across
 //!   the scanned files; an unknown kind fails.
 //! * Event streams (`*.events.json`) must be JSON arrays, as a crash
@@ -23,7 +22,7 @@
 //! Fleet progress documents (`*.progress.json`) and non-JSON files are
 //! skipped. Exits non-zero on any violation.
 
-use relaxfault_farm::{FarmLedger, JobManifest};
+use relaxfault_farm::FarmLedger;
 use relaxfault_relsim::fleet::FleetCheckpoint;
 use relaxfault_relsim::repro::ReproCase;
 use relaxfault_util::crashdump::CrashDump;
@@ -51,38 +50,20 @@ fn object_len(doc: &Value, key: &str) -> Result<usize, String> {
     }
 }
 
-/// Checks one kind-tagged document (the path is for file-name checks)
-/// and returns its schema_version.
-type Decode = fn(&Value, &Path) -> Result<u64, String>;
+/// Checks one kind-tagged document and returns its schema_version.
+type Decode = fn(&Value) -> Result<u64, String>;
 
 /// Decodes `doc` through `T`'s strict [`Persist`] decoder, which also
 /// enforces the kind's invariants, and returns its schema_version.
-fn decode<T: Persist>(doc: &Value, _path: &Path) -> Result<u64, String> {
+fn decode<T: Persist>(doc: &Value) -> Result<u64, String> {
     T::from_json(doc)?;
     T::check_header(doc)
-}
-
-/// A farm job manifest must also be filed under its own id: the farm
-/// writes `farm/jobs/<id>.json`.
-fn decode_farm_job(doc: &Value, path: &Path) -> Result<u64, String> {
-    let manifest = JobManifest::from_json(doc)?;
-    let stem = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or_default();
-    if manifest.id != stem {
-        return Err(format!(
-            "manifest id {:?} does not match file stem {stem:?}",
-            manifest.id
-        ));
-    }
-    JobManifest::check_header(doc)
 }
 
 /// A crash dump's embedded checkpoint must also decode as a
 /// [`FleetCheckpoint`] (a type `util` cannot see), so `relcheck replay`
 /// accepts anything this gate passed.
-fn decode_crash_dump(doc: &Value, _path: &Path) -> Result<u64, String> {
+fn decode_crash_dump(doc: &Value) -> Result<u64, String> {
     let dump = CrashDump::from_json(doc)?;
     if let Some(ckpt) = &dump.checkpoint {
         FleetCheckpoint::from_json(ckpt).map_err(|e| format!("embedded checkpoint: {e}"))?;
@@ -91,11 +72,10 @@ fn decode_crash_dump(doc: &Value, _path: &Path) -> Result<u64, String> {
 }
 
 /// Every kind-tagged artifact this gate knows, with its decoder.
-const KINDS: [(&str, Decode); 5] = [
+const KINDS: [(&str, Decode); 4] = [
     (ReproCase::KIND, decode::<ReproCase>),
     (FleetCheckpoint::KIND, decode::<FleetCheckpoint>),
     (CrashDump::KIND, decode_crash_dump),
-    (JobManifest::KIND, decode_farm_job),
     (FarmLedger::KIND, decode::<FarmLedger>),
 ];
 
@@ -103,7 +83,7 @@ const KINDS: [(&str, Decode); 5] = [
 /// (truncation, corrupted content digests and any schema_version
 /// [`history::HistoryEntry`] does not accept are rejected by
 /// [`history::Ledger::parse_entries`]) and the structural invariants
-/// `relcheck ledger` enforces.
+/// of [`history::check_invariants`].
 fn validate_ledger(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
     let entries = history::Ledger::parse_entries(&text)?;
@@ -223,7 +203,7 @@ fn main() {
                             .iter()
                             .find(|(k, _)| Some(*k) == kind.as_str())
                             .ok_or(format!("unknown artifact kind {kind}"))?;
-                        let version = decode(&doc, &path)?;
+                        let version = decode(&doc)?;
                         versions.entry(kind).or_default().insert(version);
                         Ok(())
                     }

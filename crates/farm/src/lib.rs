@@ -1,24 +1,23 @@
-//! Figure-farm orchestration: a resumable DAG job runner with
-//! auto-repair.
+//! Figure-farm orchestration: a resumable job list with auto-repair.
 //!
-//! The paper's result set is 14 figure/ablation bins; this crate turns
+//! The paper's result set is 13 figure/table bins; this crate turns
 //! "regenerate the paper" into one resumable command. A [`Farm`] runs a
-//! job matrix as a dependency DAG on a `std::thread` worker pool with:
+//! list of independent jobs with at most `workers` of them in flight:
 //!
-//! * **Per-job manifests** (Persist kind `farm_job`) and a **`farm_state`
-//!   ledger** — both schema-versioned, atomically written, and
-//!   timestamp-free, so a killed farm resumes exactly where it died and
-//!   converges to byte-identical artifacts. Completed jobs are skipped by
-//!   digest; in-flight jobs re-run.
+//! * **One durable record** — the `farm_state` ledger, schema-versioned,
+//!   atomically written after every job, and timestamp-free, so a killed
+//!   farm resumes exactly where it died and converges to byte-identical
+//!   artifacts. Completed jobs are skipped by digest; in-flight jobs
+//!   re-run.
 //! * **Drift rejection** — a resumed ledger whose matrix digest or
 //!   per-job digests disagree with the current spec is an error, never a
 //!   silent re-run.
-//! * **Biggest-cost-first dispatch** of every ready job to the pool.
+//! * **Most-expensive-first dispatch**, ties broken by id.
 //! * **An auto-repair loop** — every job is seeded, so a failure is final
 //!   on its first attempt (a retry would repeat it). A [`RepairHook`] can
 //!   archive the relcheck ReproCase the failing run captured and re-queue
 //!   a minimal diagnostic job (role `repro`), without stopping the rest
-//!   of the DAG.
+//!   of the list.
 //! * **Injected crash points** (`RF_FARM_CRASH_AT=<job>` / `mid:<job>`)
 //!   so the crash matrix test and the CI gate can kill the farm at every
 //!   boundary and prove resume is exact.
@@ -38,9 +37,9 @@
 //!     std::fs::create_dir_all(&ctx.dir).map_err(|e| e.to_string())?;
 //!     std::fs::write(ctx.dir.join("table.txt"), "42\n").map_err(|e| e.to_string())
 //! });
-//! farm.job(JobSpec::new("figure").dep("table"), |_ctx| Ok(()));
+//! farm.job(JobSpec::new("figure").cost(10), |_ctx| Ok(()));
 //! let report = farm.run().unwrap();
-//! assert_eq!(report.completed.len(), 2);
+//! assert_eq!(report.completed, ["figure", "table"]);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
@@ -53,7 +52,4 @@ pub use runner::{
     Repair, RepairHook,
 };
 pub use spec::{spec_digest, validate, JobSpec};
-pub use state::{
-    farm_dir, ledger_path, manifest_path, repro_archive_path, FarmLedger, JobManifest, JobRole,
-    JobStatus, LedgerEntry,
-};
+pub use state::{ledger_path, repro_archive_path, FarmLedger, JobRole, JobStatus, LedgerEntry};

@@ -1,39 +1,40 @@
-//! The resumable DAG runner: worker pool, most-expensive-first dispatch,
+//! The resumable job-list runner: bounded most-expensive-first dispatch,
 //! crash points, and the auto-repair loop.
 //!
-//! The scheduler owns all durable state transitions; workers only execute
-//! job closures (which travel through the work channel, so hook-spawned
-//! diagnostics need no shared job table). Every job is seeded, so a
-//! failure is final on its first attempt: re-running would repeat it, and
-//! the repair hook captures its diagnostics instead. Persistence
-//! ordering is the crash-consistency contract: a job's manifest is
-//! written **before** its ledger record, so a ledger record with status
-//! `ok` proves the manifest exists, and a crash at any instant leaves the
-//! pair either both stale (job re-runs) or both current (job is
-//! skipped). Job side effects must therefore be idempotent overwrites —
-//! exactly what every bench bin already does — and the crash matrix test
-//! proves the resumed artifacts are byte-identical to an uninterrupted
-//! run.
+//! The scheduler owns all durable state transitions; each dispatched job
+//! body runs on a scoped thread of its own, and at most `workers` bodies
+//! run at once. Jobs are independent, so a failed job fails alone. Every
+//! job is seeded, so a failure is final on its first attempt: re-running
+//! would repeat it, and the repair hook captures its diagnostics instead.
+//!
+//! The `farm_state` ledger is the one durable record: a job's entry is
+//! saved as soon as its body returns, so a crash at any instant leaves
+//! the entry either stale (the job re-runs) or current (it is skipped).
+//! Job side effects must therefore be idempotent overwrites — exactly
+//! what every bench bin already does — and the crash matrix test proves
+//! the resumed artifacts are byte-identical to an uninterrupted run.
 //!
 //! Two injectable crash points mirror the fleet checkpoint matrix
 //! (`RF_FLEET_CRASH_AT`):
 //!
 //! - `RF_FARM_CRASH_AT=<job>`: die at the job *boundary*, right after
-//!   `<job>`'s manifest and ledger record are persisted.
+//!   `<job>`'s ledger record is persisted.
 //! - `RF_FARM_CRASH_AT=mid:<job>`: die *mid-job* — `<job>`'s side
-//!   effects have landed but neither manifest nor ledger record was
-//!   written, so resume must re-run it.
+//!   effects have landed but its ledger record was not written, so
+//!   resume must re-run it.
 //!
-//! The runner returns the simulated crash as an `Err` only after every
-//! in-flight worker has drained (the pool is scoped), so a caller can
-//! immediately resume without racing leftover writes.
+//! A simulated crash or a persistence error stops dispatch at once; the
+//! runner returns it as an `Err` after the jobs already in flight (fewer
+//! than `workers`) have finished, because the threads are scoped. A
+//! caller can then resume without racing leftover writes.
 
 use crate::spec::{self, JobSpec};
-use crate::state::{self, FarmLedger, JobManifest, JobRole, JobStatus, LedgerEntry};
+use crate::state::{self, FarmLedger, JobRole, JobStatus, LedgerEntry};
 use relaxfault_util::persist::Persist;
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+use std::sync::mpsc;
 
 /// What a job closure gets to see when it runs.
 #[derive(Debug, Clone)]
@@ -44,7 +45,7 @@ pub struct JobCtx {
     pub dir: PathBuf,
 }
 
-/// A job body: runs on a worker thread, returns a failure reason on
+/// A job body: runs on a thread of its own, returns a failure reason on
 /// error. Side effects must be idempotent overwrites — a re-run after a
 /// mid-job crash must converge to identical artifacts.
 pub type JobFn = Box<dyn Fn(&JobCtx) -> Result<(), String> + Send>;
@@ -52,7 +53,7 @@ pub type JobFn = Box<dyn Fn(&JobCtx) -> Result<(), String> + Send>;
 /// A schedulable job: static identity plus the closure that does the
 /// work.
 pub struct Job {
-    /// Static identity (id, deps, cost).
+    /// Static identity (id, cost).
     pub spec: JobSpec,
     /// Matrix job or re-queued diagnostic.
     pub role: JobRole,
@@ -93,13 +94,11 @@ pub struct JobFailure<'a> {
     pub id: &'a str,
     /// The failure reason.
     pub reason: &'a str,
-    /// The results root (where a captured ReproCase would have landed).
-    pub dir: &'a Path,
 }
 
 /// What the repair hook produced for a failure: a diagnostic job to
-/// re-queue and, optionally, the path of the ReproCase it archived next
-/// to the job manifest (recorded in the failed job's manifest).
+/// re-queue and, optionally, the path of the ReproCase it archived
+/// (recorded in the failed job's ledger entry).
 pub struct Repair {
     /// The diagnostic job (run with [`JobRole::Repro`] semantics).
     pub job: Job,
@@ -113,7 +112,7 @@ pub type RepairHook = Box<dyn Fn(&JobFailure) -> Option<Repair>>;
 /// Where to inject a simulated crash (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Die right after this job's manifest + ledger record persisted.
+    /// Die right after this job's ledger record persisted.
     Boundary(String),
     /// Die after this job's side effects but before any persistence.
     MidJob(String),
@@ -137,7 +136,7 @@ pub fn crash_at_from_env() -> Option<CrashPoint> {
 pub struct FarmConfig {
     /// Results root; durable farm state lives under `<dir>/farm/`.
     pub dir: PathBuf,
-    /// Worker threads (clamped to at least 1).
+    /// Most job bodies in flight at once (clamped to at least 1).
     pub workers: usize,
     /// Injected crash point (normally [`crash_at_from_env`]).
     pub crash_at: Option<CrashPoint>,
@@ -167,12 +166,8 @@ pub struct FarmReport {
     pub skipped: Vec<String>,
     /// `(id, reason)` for jobs that failed.
     pub failed: Vec<(String, String)>,
-    /// Jobs that never ran because a dependency failed, sorted by id.
-    pub blocked: Vec<String>,
     /// `(id, succeeded)` for diagnostic jobs the repair hook re-queued.
     pub repro: Vec<(String, bool)>,
-    /// Jobs executed this run, diagnostics included.
-    pub attempts: u64,
 }
 
 /// The orchestrator: collect jobs, then [`Farm::run`].
@@ -182,37 +177,11 @@ pub struct Farm {
     hook: Option<RepairHook>,
 }
 
-struct WorkMsg {
-    slot: usize,
-    id: String,
-    run: JobFn,
-}
-
-struct DoneMsg {
-    slot: usize,
-    result: Result<(), String>,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum SlotState {
-    Pending,
-    Running,
-    Done,
-    Failed,
-    Blocked,
-}
-
-/// Per-slot bookkeeping the scheduler mutates as results arrive.
-struct SlotRow {
+/// A finished job body, sent back to the scheduler.
+struct Done {
     spec: JobSpec,
     role: JobRole,
-    state: SlotState,
-    /// Unfinished dependency count.
-    waiting: usize,
-    /// Slots that depend on this one.
-    dependents: Vec<usize>,
-    /// The closure, parked here until the job is dispatched.
-    run: Option<JobFn>,
+    result: Result<(), String>,
 }
 
 impl Farm {
@@ -244,15 +213,15 @@ impl Farm {
         self
     }
 
-    /// Runs the DAG to completion (or to the injected crash point).
+    /// Runs every job to completion (or to the injected crash point).
     ///
     /// # Errors
     ///
     /// Returns spec-validation errors, ledger drift on resume, I/O
     /// failures persisting state, and the simulated-crash error when a
     /// crash point fires. Job failures are *not* errors — they are
-    /// reported in the [`FarmReport`] and surfaced as `failed`/`blocked`
-    /// manifests.
+    /// reported in the [`FarmReport`] and recorded as `failed` ledger
+    /// entries.
     pub fn run(self) -> Result<FarmReport, String> {
         let Farm { cfg, jobs, hook } = self;
         let specs: Vec<JobSpec> = jobs.iter().map(|j| j.spec.clone()).collect();
@@ -263,54 +232,19 @@ impl Farm {
                 j.spec.id
             ));
         }
-        let matrix_digest = spec::spec_digest(&specs);
         let ledger_path = state::ledger_path(&cfg.dir);
-        let (mut ledger, done_before) = load_or_init_ledger(&cfg, &specs, matrix_digest)?;
+        let (mut ledger, done_before) = load_or_init_ledger(&cfg, &specs)?;
         ledger.save(&ledger_path)?;
 
-        // --- Scheduling state ---------------------------------------------
-        let mut slot_of: HashMap<String, usize> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.spec.id.clone(), i))
-            .collect();
-        let mut rows: Vec<SlotRow> = jobs
+        let mut ids: HashSet<String> = specs.into_iter().map(|s| s.id).collect();
+        let mut queue: Vec<Job> = jobs
             .into_iter()
-            .map(|job| {
-                let done = done_before.contains(job.spec.id.as_str());
-                SlotRow {
-                    state: if done {
-                        SlotState::Done
-                    } else {
-                        SlotState::Pending
-                    },
-                    waiting: 0,
-                    dependents: Vec::new(),
-                    spec: job.spec,
-                    role: job.role,
-                    run: Some(job.run),
-                }
-            })
+            .filter(|j| !done_before.contains(&j.spec.id))
             .collect();
-        for i in 0..rows.len() {
-            for d in rows[i].spec.deps.clone() {
-                let di = slot_of[d.as_str()];
-                if rows[di].state != SlotState::Done {
-                    rows[i].waiting += 1;
-                }
-                rows[di].dependents.push(i);
-            }
-        }
-        let mut ready: Vec<usize> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.state == SlotState::Pending && r.waiting == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let mut pending = rows.iter().filter(|r| r.state != SlotState::Done).count();
+        sort_queue(&mut queue);
         let mut report = FarmReport {
             skipped: {
-                let mut v: Vec<String> = done_before.iter().cloned().collect();
+                let mut v: Vec<String> = done_before.into_iter().collect();
                 v.sort();
                 v
             },
@@ -318,163 +252,118 @@ impl Farm {
         };
 
         let workers = cfg.workers.max(1);
-        let (work_tx, work_rx) = mpsc::channel::<WorkMsg>();
-        let (done_tx, done_rx) = mpsc::channel::<DoneMsg>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-
+        let (done_tx, done_rx) = mpsc::channel::<Done>();
         std::thread::scope(|scope| -> Result<FarmReport, String> {
-            for _ in 0..workers {
-                let work_rx = Arc::clone(&work_rx);
-                let done_tx = done_tx.clone();
-                let dir = cfg.dir.clone();
-                scope.spawn(move || loop {
-                    let msg = { work_rx.lock().expect("work queue").recv() };
-                    let Ok(WorkMsg { slot, id, run }) = msg else {
-                        break;
+            let mut running = 0usize;
+            loop {
+                while running < workers {
+                    let Some(job) = queue.pop() else { break };
+                    let ctx = JobCtx {
+                        id: job.spec.id.clone(),
+                        dir: cfg.dir.clone(),
                     };
-                    let result = run(&JobCtx {
-                        id,
-                        dir: dir.clone(),
+                    let done_tx = done_tx.clone();
+                    scope.spawn(move || {
+                        // A panicking body must still report, or the
+                        // scheduler would wait for it forever.
+                        let result = catch_unwind(AssertUnwindSafe(|| (job.run)(&ctx)))
+                            .unwrap_or_else(|_| Err(format!("job {:?} panicked", ctx.id)));
+                        // The receiver only goes away once `run` has
+                        // returned, when the outcome no longer matters.
+                        let _ = done_tx.send(Done {
+                            spec: job.spec,
+                            role: job.role,
+                            result,
+                        });
                     });
-                    if done_tx.send(DoneMsg { slot, result }).is_err() {
-                        break;
+                    running += 1;
+                }
+                if running == 0 {
+                    return Ok(report);
+                }
+                let Done { spec, role, result } =
+                    done_rx.recv().expect("the scheduler holds a sender");
+                running -= 1;
+                let id = spec.id.clone();
+                if matches!(&cfg.crash_at, Some(CrashPoint::MidJob(c)) if *c == id) {
+                    return Err(format!(
+                        "simulated crash mid-job {id:?} (RF_FARM_CRASH_AT): side effects \
+                         written, ledger not; resume with --resume"
+                    ));
+                }
+                let mut entry = LedgerEntry {
+                    id: id.clone(),
+                    digest: spec.digest(),
+                    role,
+                    status: JobStatus::Ok,
+                    reason: None,
+                    repro: None,
+                };
+                let mut diagnostic = None;
+                match result {
+                    Ok(()) if role == JobRole::Repro => report.repro.push((id.clone(), true)),
+                    Ok(()) => report.completed.push(id.clone()),
+                    Err(reason) => {
+                        if role == JobRole::Repro {
+                            report.repro.push((id.clone(), false));
+                        } else {
+                            let failure = JobFailure {
+                                id: &id,
+                                reason: &reason,
+                            };
+                            if let Some(repair) = hook.as_ref().and_then(|h| h(&failure)) {
+                                entry.repro = repair.archive.map(|p| p.display().to_string());
+                                diagnostic = Some(repair.job);
+                            }
+                            report.failed.push((id.clone(), reason.clone()));
+                        }
+                        entry.status = JobStatus::Failed;
+                        entry.reason = Some(reason);
                     }
-                });
-            }
-            drop(done_tx);
-
-            let mut running: usize = 0;
-            let outcome = (|| -> Result<FarmReport, String> {
-                dispatch(&mut rows, &mut ready, &mut running, &work_tx)?;
-                while pending > 0 {
-                    if running == 0 {
+                }
+                ledger.record(entry);
+                ledger.save(&ledger_path)?;
+                if matches!(&cfg.crash_at, Some(CrashPoint::Boundary(c)) if *c == id) {
+                    return Err(format!(
+                        "simulated crash at job boundary {id:?} (RF_FARM_CRASH_AT); \
+                         resume with --resume"
+                    ));
+                }
+                if let Some(job) = diagnostic {
+                    spec::validate(std::slice::from_ref(&job.spec))?;
+                    if !ids.insert(job.spec.id.clone()) {
                         return Err(format!(
-                            "scheduler stalled with {pending} pending job(s) and nothing running"
+                            "repair hook returned duplicate job id {:?}",
+                            job.spec.id
                         ));
                     }
-                    let DoneMsg { slot, result } =
-                        done_rx.recv().map_err(|_| "worker pool died".to_string())?;
-                    running -= 1;
-                    report.attempts += 1;
-                    let id = rows[slot].spec.id.clone();
-                    if let Some(CrashPoint::MidJob(cid)) = &cfg.crash_at {
-                        if *cid == id {
-                            return Err(format!(
-                                "simulated crash mid-job {id:?} (RF_FARM_CRASH_AT): side \
-                                 effects written, manifest not; resume with --resume"
-                            ));
-                        }
-                    }
-                    match result {
-                        Ok(()) => {
-                            let row = &mut rows[slot];
-                            let entry = LedgerEntry {
-                                id: id.clone(),
-                                digest: row.spec.digest(),
-                                role: row.role,
-                                status: JobStatus::Ok,
-                                attempts: 1,
-                            };
-                            manifest_of(row, JobStatus::Ok, 1, None)
-                                .save(&state::manifest_path(&cfg.dir, &id))?;
-                            ledger.record(entry);
-                            ledger.save(&ledger_path)?;
-                            row.state = SlotState::Done;
-                            pending -= 1;
-                            if row.role == JobRole::Repro {
-                                report.repro.push((id.clone(), true));
-                            } else {
-                                report.completed.push(id.clone());
-                            }
-                            if let Some(CrashPoint::Boundary(cid)) = &cfg.crash_at {
-                                if *cid == id {
-                                    return Err(format!(
-                                        "simulated crash at job boundary {id:?} \
-                                         (RF_FARM_CRASH_AT); resume with --resume"
-                                    ));
-                                }
-                            }
-                            for dep in rows[slot].dependents.clone() {
-                                rows[dep].waiting -= 1;
-                                if rows[dep].waiting == 0 && rows[dep].state == SlotState::Pending {
-                                    ready.push(dep);
-                                }
-                            }
-                        }
-                        Err(reason) => {
-                            let repair = if rows[slot].role == JobRole::Job {
-                                hook.as_ref().and_then(|h| {
-                                    h(&JobFailure {
-                                        id: &id,
-                                        reason: &reason,
-                                        dir: &cfg.dir,
-                                    })
-                                })
-                            } else {
-                                None
-                            };
-                            let repro_path = repair
-                                .as_ref()
-                                .and_then(|r| r.archive.as_ref().map(|p| p.display().to_string()));
-                            let row = &mut rows[slot];
-                            manifest_of(row, JobStatus::Failed, 1, Some(reason.clone()))
-                                .with_repro(repro_path)
-                                .save(&state::manifest_path(&cfg.dir, &id))?;
-                            ledger.record(LedgerEntry {
-                                id: id.clone(),
-                                digest: row.spec.digest(),
-                                role: row.role,
-                                status: JobStatus::Failed,
-                                attempts: 1,
-                            });
-                            ledger.save(&ledger_path)?;
-                            row.state = SlotState::Failed;
-                            pending -= 1;
-                            if row.role == JobRole::Repro {
-                                report.repro.push((id.clone(), false));
-                            } else {
-                                report.failed.push((id.clone(), reason));
-                            }
-                            block_dependents(
-                                slot,
-                                &mut rows,
-                                &mut ready,
-                                &mut ledger,
-                                &cfg.dir,
-                                &mut pending,
-                                &mut report,
-                            )?;
-                            ledger.save(&ledger_path)?;
-                            if let Some(repair) = repair {
-                                enqueue_diagnostic(
-                                    repair.job,
-                                    &mut rows,
-                                    &mut slot_of,
-                                    &mut ready,
-                                    &mut pending,
-                                )?;
-                            }
-                        }
-                    }
-                    dispatch(&mut rows, &mut ready, &mut running, &work_tx)?;
+                    queue.push(Job {
+                        role: JobRole::Repro,
+                        ..job
+                    });
+                    sort_queue(&mut queue);
                 }
-                Ok(report)
-            })();
-            // Close the queue so idle workers exit; in-flight workers drain
-            // into the still-open done channel and exit on the next recv.
-            // `scope` then joins every worker, so no leftover thread can
-            // race a subsequent resume.
-            drop(work_tx);
-            outcome
+            }
         })
     }
+}
+
+/// Orders `queue` so that `pop` yields the most expensive job first, ties
+/// by id, so the longest jobs start while workers are free.
+fn sort_queue(queue: &mut [Job]) {
+    queue.sort_by(|a, b| {
+        a.spec
+            .cost
+            .cmp(&b.spec.cost)
+            .then_with(|| b.spec.id.cmp(&a.spec.id))
+    });
 }
 
 fn load_or_init_ledger(
     cfg: &FarmConfig,
     specs: &[JobSpec],
-    matrix_digest: u64,
 ) -> Result<(FarmLedger, HashSet<String>), String> {
+    let matrix_digest = spec::spec_digest(specs);
     let ledger_path = state::ledger_path(&cfg.dir);
     let mut done_before = HashSet::new();
     if cfg.resume && ledger_path.exists() {
@@ -525,134 +414,9 @@ fn load_or_init_ledger(
             digest: s.digest(),
             role: JobRole::Job,
             status: JobStatus::Pending,
-            attempts: 0,
+            reason: None,
+            repro: None,
         });
     }
     Ok((ledger, done_before))
-}
-
-impl JobManifest {
-    fn with_repro(mut self, repro: Option<String>) -> Self {
-        self.repro = repro;
-        self
-    }
-}
-
-fn manifest_of(
-    row: &SlotRow,
-    status: JobStatus,
-    attempts: u64,
-    reason: Option<String>,
-) -> JobManifest {
-    JobManifest {
-        id: row.spec.id.clone(),
-        digest: row.spec.digest(),
-        role: row.role,
-        status,
-        attempts,
-        deps: row.spec.deps.clone(),
-        cost: row.spec.cost,
-        reason,
-        repro: None,
-    }
-}
-
-/// Sends every ready job to the worker pool, biggest cost first (ties by
-/// id), so the longest jobs start while workers are free.
-fn dispatch(
-    rows: &mut [SlotRow],
-    ready: &mut Vec<usize>,
-    running: &mut usize,
-    work_tx: &mpsc::Sender<WorkMsg>,
-) -> Result<(), String> {
-    ready.sort_by(|&a, &b| {
-        rows[b]
-            .spec
-            .cost
-            .cmp(&rows[a].spec.cost)
-            .then(rows[a].spec.id.cmp(&rows[b].spec.id))
-    });
-    for slot in ready.drain(..) {
-        rows[slot].state = SlotState::Running;
-        *running += 1;
-        let msg = WorkMsg {
-            slot,
-            id: rows[slot].spec.id.clone(),
-            run: rows[slot].run.take().expect("closure parked"),
-        };
-        work_tx
-            .send(msg)
-            .map_err(|_| "worker pool died".to_string())?;
-    }
-    Ok(())
-}
-
-/// Marks every not-yet-run transitive dependent of `slot` blocked, with
-/// manifests and ledger records (ledger saved by the caller).
-fn block_dependents(
-    slot: usize,
-    rows: &mut [SlotRow],
-    ready: &mut Vec<usize>,
-    ledger: &mut FarmLedger,
-    dir: &Path,
-    pending: &mut usize,
-    report: &mut FarmReport,
-) -> Result<(), String> {
-    let mut stack = vec![slot];
-    while let Some(u) = stack.pop() {
-        for dep in rows[u].dependents.clone() {
-            if rows[dep].state != SlotState::Pending {
-                continue;
-            }
-            let reason = format!("dependency {:?} failed", rows[u].spec.id);
-            manifest_of(&rows[dep], JobStatus::Blocked, 0, Some(reason))
-                .save(&state::manifest_path(dir, &rows[dep].spec.id))?;
-            ledger.record(LedgerEntry {
-                id: rows[dep].spec.id.clone(),
-                digest: rows[dep].spec.digest(),
-                role: rows[dep].role,
-                status: JobStatus::Blocked,
-                attempts: 0,
-            });
-            rows[dep].state = SlotState::Blocked;
-            *pending -= 1;
-            report.blocked.push(rows[dep].spec.id.clone());
-            ready.retain(|&r| r != dep);
-            stack.push(dep);
-        }
-    }
-    report.blocked.sort();
-    Ok(())
-}
-
-/// Admits a hook-produced diagnostic job into the scheduler.
-fn enqueue_diagnostic(
-    job: Job,
-    rows: &mut Vec<SlotRow>,
-    slot_of: &mut HashMap<String, usize>,
-    ready: &mut Vec<usize>,
-    pending: &mut usize,
-) -> Result<(), String> {
-    if slot_of.contains_key(&job.spec.id) {
-        return Err(format!(
-            "repair hook returned duplicate job id {:?}",
-            job.spec.id
-        ));
-    }
-    let mut dspec = job.spec;
-    dspec.deps.clear(); // diagnostics run immediately, dependency-free
-    spec::validate(std::slice::from_ref(&dspec))?;
-    let slot = rows.len();
-    slot_of.insert(dspec.id.clone(), slot);
-    rows.push(SlotRow {
-        spec: dspec,
-        role: JobRole::Repro,
-        state: SlotState::Pending,
-        waiting: 0,
-        dependents: Vec::new(),
-        run: Some(job.run),
-    });
-    ready.push(slot);
-    *pending += 1;
-    Ok(())
 }

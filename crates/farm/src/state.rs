@@ -1,17 +1,15 @@
-//! Durable farm state: per-job manifests and the `farm_state` ledger.
+//! Durable farm state: the `farm_state` ledger.
 //!
-//! Both artifacts ride the workspace [`Persist`] contract (schema-
-//! versioned, kind-tagged, atomic temp+rename writes), the same layer
-//! relcheck repro cases and fleet checkpoints use. Neither carries a
-//! timestamp — a resumed farm must converge to byte-identical state, so
-//! everything written is a pure function of the matrix spec and the job
-//! outcomes.
+//! The ledger rides the workspace [`Persist`] contract (schema-versioned,
+//! kind-tagged, atomic temp+rename writes), the same layer relcheck
+//! repro cases and fleet checkpoints use. It carries no timestamp — a
+//! resumed farm must converge to byte-identical state, so everything
+//! written is a pure function of the matrix spec and the job outcomes.
 //!
 //! Layout under the farm directory (`<results>/farm/`):
 //!
 //! ```text
-//! farm/farm_state.json   ledger: matrix digest + one record per job
-//! farm/jobs/<id>.json    manifest: the job's durable outcome
+//! farm/farm_state.json        ledger: matrix digest + one record per job
 //! farm/jobs/<id>.repro.json   archived ReproCase for a failed job
 //! ```
 
@@ -19,17 +17,15 @@ use relaxfault_util::json::Value;
 use relaxfault_util::persist::{self, Persist};
 use std::path::{Path, PathBuf};
 
-/// How a job ended up in the manifest/ledger.
+/// How a job ended up in the ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Not yet finished (ledger only; a crash leaves these behind).
+    /// Not yet finished (a crash leaves these behind).
     Pending,
     /// Completed successfully.
     Ok,
     /// Ran and failed.
     Failed,
-    /// Never ran: a (transitive) dependency failed.
-    Blocked,
 }
 
 impl JobStatus {
@@ -39,7 +35,6 @@ impl JobStatus {
             JobStatus::Pending => "pending",
             JobStatus::Ok => "ok",
             JobStatus::Failed => "failed",
-            JobStatus::Blocked => "blocked",
         }
     }
 
@@ -53,7 +48,6 @@ impl JobStatus {
             "pending" => Ok(JobStatus::Pending),
             "ok" => Ok(JobStatus::Ok),
             "failed" => Ok(JobStatus::Failed),
-            "blocked" => Ok(JobStatus::Blocked),
             other => Err(format!("unknown job status {other:?}")),
         }
     }
@@ -93,95 +87,6 @@ impl JobRole {
     }
 }
 
-/// Durable outcome of one job, written next to its artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobManifest {
-    /// Job id (also the file stem).
-    pub id: String,
-    /// [`crate::spec::JobSpec::digest`] at the time the job ran.
-    pub digest: u64,
-    /// Matrix job or re-queued diagnostic.
-    pub role: JobRole,
-    /// Final status.
-    pub status: JobStatus,
-    /// Times the job ran (1 for ok and failed jobs; 0 for blocked ones).
-    pub attempts: u64,
-    /// Dependency ids, as declared.
-    pub deps: Vec<String>,
-    /// Scheduling cost, as declared.
-    pub cost: u64,
-    /// Failure reason, for failed jobs.
-    pub reason: Option<String>,
-    /// Path of the archived ReproCase, when the auto-repair loop
-    /// captured one.
-    pub repro: Option<String>,
-}
-
-impl Persist for JobManifest {
-    const KIND: &'static str = "farm_job";
-    const SCHEMA_VERSION: u64 = 1;
-
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("schema_version", Value::from(Self::SCHEMA_VERSION)),
-            ("kind", Value::from(Self::KIND)),
-            ("id", Value::from(self.id.as_str())),
-            ("digest", persist::hex(self.digest)),
-            ("role", Value::from(self.role.as_str())),
-            ("status", Value::from(self.status.as_str())),
-            ("attempts", Value::from(self.attempts)),
-            (
-                "deps",
-                Value::Array(self.deps.iter().map(|d| Value::from(d.as_str())).collect()),
-            ),
-            ("cost", Value::from(self.cost)),
-        ];
-        if let Some(reason) = &self.reason {
-            fields.push(("reason", Value::from(reason.as_str())));
-        }
-        if let Some(repro) = &self.repro {
-            fields.push(("repro", Value::from(repro.as_str())));
-        }
-        Value::object(fields)
-    }
-
-    fn from_json(v: &Value) -> Result<Self, String> {
-        Self::check_header(v)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{key} must be a string"))
-        };
-        let deps = v
-            .get("deps")
-            .and_then(Value::as_array)
-            .ok_or("deps must be an array")?
-            .iter()
-            .map(|d| {
-                d.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "deps entries must be strings".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let manifest = JobManifest {
-            id: str_field("id")?,
-            digest: persist::parse_hex_field(v, "digest")?,
-            role: JobRole::parse(&str_field("role")?)?,
-            status: JobStatus::parse(&str_field("status")?)?,
-            attempts: persist::parse_u64_field(v, "attempts")?,
-            deps,
-            cost: persist::parse_u64_field(v, "cost")?,
-            reason: v.get("reason").and_then(Value::as_str).map(str::to_string),
-            repro: v.get("repro").and_then(Value::as_str).map(str::to_string),
-        };
-        if manifest.status == JobStatus::Failed && manifest.reason.is_none() {
-            return Err("failed manifest carries no reason".into());
-        }
-        Ok(manifest)
-    }
-}
-
 /// One job's record in the [`FarmLedger`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
@@ -193,8 +98,11 @@ pub struct LedgerEntry {
     pub role: JobRole,
     /// Last durable status.
     pub status: JobStatus,
-    /// Times the job ran in the run that produced `status`.
-    pub attempts: u64,
+    /// Failure reason; required when `status` is failed.
+    pub reason: Option<String>,
+    /// Path of the archived ReproCase, when the auto-repair loop
+    /// captured one.
+    pub repro: Option<String>,
 }
 
 /// The farm's durable progress ledger (Persist kind `farm_state`).
@@ -212,20 +120,26 @@ pub struct FarmLedger {
 
 impl Persist for FarmLedger {
     const KIND: &'static str = "farm_state";
-    const SCHEMA_VERSION: u64 = 1;
+    const SCHEMA_VERSION: u64 = 2;
 
     fn to_json(&self) -> Value {
         let jobs = self
             .jobs
             .iter()
             .map(|j| {
-                Value::object([
+                let mut fields = vec![
                     ("id", Value::from(j.id.as_str())),
                     ("digest", persist::hex(j.digest)),
                     ("role", Value::from(j.role.as_str())),
                     ("status", Value::from(j.status.as_str())),
-                    ("attempts", Value::from(j.attempts)),
-                ])
+                ];
+                if let Some(reason) = &j.reason {
+                    fields.push(("reason", Value::from(reason.as_str())));
+                }
+                if let Some(repro) = &j.repro {
+                    fields.push(("repro", Value::from(repro.as_str())));
+                }
+                Value::object(fields)
             })
             .collect();
         Value::object([
@@ -249,13 +163,19 @@ impl Persist for FarmLedger {
                         .and_then(Value::as_str)
                         .ok_or_else(|| format!("jobs[].{key} must be a string"))
                 };
-                Ok(LedgerEntry {
+                let opt_field = |key: &str| j.get(key).and_then(Value::as_str).map(str::to_string);
+                let entry = LedgerEntry {
                     id: str_field("id")?.to_string(),
                     digest: persist::parse_hex_field(j, "digest")?,
                     role: JobRole::parse(str_field("role")?)?,
                     status: JobStatus::parse(str_field("status")?)?,
-                    attempts: persist::parse_u64_field(j, "attempts")?,
-                })
+                    reason: opt_field("reason"),
+                    repro: opt_field("repro"),
+                };
+                if entry.status == JobStatus::Failed && entry.reason.is_none() {
+                    return Err(format!("failed job {:?} carries no reason", entry.id));
+                }
+                Ok(entry)
             })
             .collect::<Result<Vec<_>, String>>()?;
         // `entry` and `record` binary-search by id, so an unsorted ledger
@@ -292,18 +212,13 @@ impl FarmLedger {
 }
 
 /// The farm state directory under a results root.
-pub fn farm_dir(results: &Path) -> PathBuf {
+fn farm_dir(results: &Path) -> PathBuf {
     results.join("farm")
 }
 
 /// The ledger path under a results root.
 pub fn ledger_path(results: &Path) -> PathBuf {
     farm_dir(results).join("farm_state.json")
-}
-
-/// A job manifest path under a results root.
-pub fn manifest_path(results: &Path, id: &str) -> PathBuf {
-    farm_dir(results).join("jobs").join(format!("{id}.json"))
 }
 
 /// Where a failed job's captured ReproCase is archived.
@@ -317,34 +232,15 @@ pub fn repro_archive_path(results: &Path, id: &str) -> PathBuf {
 mod tests {
     use super::*;
 
-    fn manifest() -> JobManifest {
-        JobManifest {
-            id: "fig10".into(),
-            digest: 0xABCD_EF01_2345_6789,
+    fn entry(id: &str, status: JobStatus) -> LedgerEntry {
+        LedgerEntry {
+            id: id.into(),
+            digest: 7,
             role: JobRole::Job,
-            status: JobStatus::Failed,
-            attempts: 3,
-            deps: vec!["tables".into()],
-            cost: 4000,
-            reason: Some("exit 3".into()),
-            repro: Some("farm/jobs/fig10.repro.json".into()),
-        }
-    }
-
-    #[test]
-    fn manifest_round_trips() {
-        let m = manifest();
-        assert_eq!(JobManifest::parse_str(&m.to_json().to_pretty()).unwrap(), m);
-        // Optional fields stay absent.
-        let ok = JobManifest {
-            status: JobStatus::Ok,
+            status,
             reason: None,
             repro: None,
-            ..manifest()
-        };
-        let text = ok.to_json().to_pretty();
-        assert!(!text.contains("reason"));
-        assert_eq!(JobManifest::parse_str(&text).unwrap(), ok);
+        }
     }
 
     #[test]
@@ -354,13 +250,7 @@ mod tests {
             jobs: vec![],
         };
         for id in ["c", "a", "b"] {
-            ledger.record(LedgerEntry {
-                id: id.into(),
-                digest: 7,
-                role: JobRole::Job,
-                status: JobStatus::Pending,
-                attempts: 0,
-            });
+            ledger.record(entry(id, JobStatus::Pending));
         }
         assert_eq!(
             ledger
@@ -371,38 +261,40 @@ mod tests {
             vec!["a", "b", "c"]
         );
         ledger.record(LedgerEntry {
-            id: "b".into(),
-            digest: 7,
-            role: JobRole::Job,
-            status: JobStatus::Ok,
-            attempts: 1,
+            reason: Some("exit 3".into()),
+            repro: Some("farm/jobs/b.repro.json".into()),
+            ..entry("b", JobStatus::Failed)
         });
         assert_eq!(ledger.jobs.len(), 3);
-        assert_eq!(ledger.entry("b").unwrap().status, JobStatus::Ok);
-        let parsed = FarmLedger::parse_str(&ledger.to_json().to_pretty()).unwrap();
-        assert_eq!(parsed, ledger);
+        assert_eq!(ledger.entry("b").unwrap().status, JobStatus::Failed);
+        let text = ledger.to_json().to_pretty();
+        assert_eq!(
+            text.matches("reason").count(),
+            1,
+            "optional fields stay absent"
+        );
+        assert_eq!(FarmLedger::parse_str(&text).unwrap(), ledger);
     }
 
     #[test]
     fn invariants_are_enforced_on_load() {
-        let silent = JobManifest {
-            reason: None,
-            ..manifest()
+        let silent = FarmLedger {
+            spec_digest: 1,
+            jobs: vec![entry("a", JobStatus::Failed)],
         };
-        let err = JobManifest::parse_str(&silent.to_json().to_pretty()).unwrap_err();
+        let err = FarmLedger::parse_str(&silent.to_json().to_pretty()).unwrap_err();
         assert!(err.contains("no reason"), "{err}");
 
-        let entry = |id: &str| LedgerEntry {
-            id: id.into(),
-            digest: 7,
-            role: JobRole::Job,
-            status: JobStatus::Ok,
-            attempts: 1,
-        };
         for (jobs, why) in [
             (vec![], "no jobs"),
-            (vec![entry("b"), entry("a")], "not strictly sorted"),
-            (vec![entry("a"), entry("a")], "not strictly sorted"),
+            (
+                vec![entry("b", JobStatus::Ok), entry("a", JobStatus::Ok)],
+                "not strictly sorted",
+            ),
+            (
+                vec![entry("a", JobStatus::Ok), entry("a", JobStatus::Ok)],
+                "not strictly sorted",
+            ),
         ] {
             let ledger = FarmLedger {
                 spec_digest: 1,
@@ -411,14 +303,5 @@ mod tests {
             let err = FarmLedger::parse_str(&ledger.to_json().to_pretty()).unwrap_err();
             assert!(err.contains(why), "{err}");
         }
-    }
-
-    #[test]
-    fn foreign_kind_rejected() {
-        let m = manifest()
-            .to_json()
-            .to_pretty()
-            .replace("farm_job", "farm_state");
-        assert!(JobManifest::parse_str(&m).unwrap_err().contains("kind"));
     }
 }

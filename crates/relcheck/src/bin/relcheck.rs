@@ -5,11 +5,6 @@
 //! relcheck replay <file.json>    re-execute a persisted repro case,
 //!                                fleet checkpoint, or crash dump
 //!                                (dispatched by `kind`)
-//! relcheck ledger <ledger.jsonl> strict-parse a perf-history ledger and
-//!                                enforce its structural invariants
-//!                                (unique verified ids, valid run names,
-//!                                finite medians, per-lineage series
-//!                                monotonicity)
 //! relcheck thread-matrix [--trials N] [--seed S] [--out PATH]
 //!                                run the scheduling-determinism gate:
 //!                                one pinned scenario mix at 1, 2 and 4
@@ -19,22 +14,21 @@
 //! ```
 //!
 //! Exit codes: 0 success / reproduced, 1 usage or replay error,
-//! 2 replay did not reproduce the recorded failure, 3 an oracle property,
-//! ledger invariant, or thread-matrix cell failed (the repro path /
-//! offending entry / diverging digest is printed).
+//! 2 replay did not reproduce the recorded failure, 3 an oracle property
+//! or thread-matrix cell failed (the repro path / diverging digest is
+//! printed).
 
 use relaxfault_relcheck::replay::{
     load_any, replay, replay_crash_dump, replay_fleet, LoadedCase, ReplayReport,
 };
 use relaxfault_relcheck::{run_smoke, run_thread_matrix};
-use relaxfault_util::{history, obs};
+use relaxfault_util::obs;
 use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: relcheck smoke [--cases N] | relcheck replay <case.json> \
-         | relcheck ledger <ledger.jsonl> \
          | relcheck thread-matrix [--trials N] [--seed S] [--out PATH]"
     );
     ExitCode::from(1)
@@ -111,32 +105,6 @@ fn main() -> ExitCode {
                 Err(e) => {
                     eprintln!("relcheck replay: {e}");
                     ExitCode::from(1)
-                }
-            }
-        }
-        Some("ledger") => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let ledger = match history::Ledger::load(Path::new(path)) {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("relcheck ledger: {e}");
-                    return ExitCode::from(1);
-                }
-            };
-            match history::check_invariants(&ledger) {
-                Ok(()) => {
-                    println!(
-                        "relcheck ledger: {} entries, {} series, all invariants held",
-                        ledger.entries.len(),
-                        history::series(&ledger.entries).len()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("relcheck ledger: invariant violated: {e}");
-                    ExitCode::from(3)
                 }
             }
         }

@@ -26,7 +26,7 @@
 //!   load, so a corrupted line cannot masquerade as a valid record.
 //! * **Monotone per series.** Within one `(config_hash, threads)` run
 //!   lineage, wall clocks must be non-decreasing in ledger order —
-//!   [`check_invariants`] (wired into `relcheck ledger`) enforces it.
+//!   [`check_invariants`] (wired into `obs_validate`) enforces it.
 
 use crate::json::Value;
 use crate::obs;
@@ -552,7 +552,7 @@ pub fn series(entries: &[HistoryEntry]) -> BTreeMap<SeriesKey, Vec<SeriesPoint>>
     out
 }
 
-/// Structural invariants `relcheck ledger` enforces on a loaded ledger:
+/// Structural invariants `obs_validate` enforces on a loaded ledger:
 ///
 /// * every id is unique (the parse already proved each matches its
 ///   content);

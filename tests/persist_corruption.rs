@@ -6,7 +6,7 @@
 //! each is a few KiB, so the whole test stays around a second in a debug
 //! build.
 
-use relaxfault_farm::{FarmLedger, JobManifest, JobRole, JobStatus, LedgerEntry};
+use relaxfault_farm::{FarmLedger, JobRole, JobStatus, LedgerEntry};
 use relaxfault_relsim::fleet::{FleetCheckpoint, FleetConfig, FleetSim};
 use relaxfault_relsim::repro::ReproCase;
 use relaxfault_relsim::scenario::{Mechanism, Scenario};
@@ -87,17 +87,6 @@ fn documents() -> &'static [Doc] {
             flight: Value::Array(Vec::new()),
             checkpoint: Some(ckpt.to_json()),
         };
-        let manifest = JobManifest {
-            id: "fig10_coverage".into(),
-            digest: 0xABCD_EF01_2345_6789,
-            role: JobRole::Job,
-            status: JobStatus::Failed,
-            attempts: 2,
-            deps: vec!["fig08_hashing".into(), "table3_config".into()],
-            cost: 4000,
-            reason: Some("exit status 3".into()),
-            repro: Some("farm/jobs/fig10_coverage.repro.json".into()),
-        };
         let ledger = FarmLedger {
             spec_digest: 0x1234_5678_9ABC_DEF0,
             jobs: ["fig08_hashing", "fig10_coverage", "table3_config"]
@@ -108,7 +97,8 @@ fn documents() -> &'static [Doc] {
                     digest: i as u64 * 0x1111,
                     role: JobRole::Job,
                     status: [JobStatus::Ok, JobStatus::Failed, JobStatus::Pending][i],
-                    attempts: i as u64,
+                    reason: (i == 1).then(|| "exit status 101: RF_CHECK failure".into()),
+                    repro: (i == 1).then(|| "farm/jobs/fig10_coverage.repro.json".into()),
                 })
                 .collect(),
         };
@@ -129,11 +119,6 @@ fn documents() -> &'static [Doc] {
                 kind: "crash_dump",
                 text: Persist::to_json(&dump).to_pretty(),
                 decode: parse_crash_dump,
-            },
-            Doc {
-                kind: "farm_job",
-                text: manifest.to_json().to_pretty(),
-                decode: parse::<JobManifest>,
             },
             Doc {
                 kind: "farm_state",
