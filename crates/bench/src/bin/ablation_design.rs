@@ -39,7 +39,7 @@ fn run(arms: &[Scenario], trials: u64) -> Vec<relaxfault_relsim::ScenarioResult>
     )
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = relaxfault_bench::obs_init();
     let trials = args.work(40_000);
 
@@ -64,7 +64,7 @@ fn main() {
         "ablation1_fault_model",
         "Ablation 1: uniform fault model under-predicts failures (paper §4.1.2)",
         &t1,
-    );
+    )?;
 
     // 2. Device-CV sweep.
     let mut arms = Vec::new();
@@ -88,7 +88,7 @@ fn main() {
         "ablation2_device_cv",
         "Ablation 2: device-to-device rate variation barely moves coverage (paper: 'results are not sensitive')",
         &t2,
-    );
+    )?;
 
     // 3. PPR sparing generosity.
     let mut arms = Vec::new();
@@ -117,7 +117,7 @@ fn main() {
         "ablation3_ppr_spares",
         "Ablation 3: even generous row sparing cannot reach LLC-based repair (columns/banks stay out of reach)",
         &t3,
-    );
+    )?;
 
     // 4. Repair-preemption probability.
     let mut arms = Vec::new();
@@ -151,7 +151,7 @@ fn main() {
         "ablation4_preemption",
         "Ablation 4: DUE reduction = ordering effect (~arrival symmetry) + detection racing the overlap",
         &t4,
-    );
+    )?;
 
     // 5. Coverage-gap fingerprint.
     let base = Scenario::isca16_baseline().with_replacement(ReplacementPolicy::None);
@@ -182,6 +182,7 @@ fn main() {
         "ablation5_gap_fingerprint",
         "Ablation 5: unrepaired faults per system by mode (who fails on what)",
         &t5,
-    );
+    )?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

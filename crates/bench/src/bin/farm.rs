@@ -14,7 +14,7 @@
 //! `<dir>/farm/`; a killed farm resumes with `--resume`, skipping
 //! ledgered-ok jobs after a drift check and re-running everything else.
 //!
-//! * `--matrix=figures` is the full 13-bin paper set; `--matrix=mini` is
+//! * `--matrix=figures` is the full 9-bin paper set; `--matrix=mini` is
 //!   the 3-job list the CI gate uses. No job reads another's output.
 //! * `--scale=F` multiplies every job's trial/instruction count (floor
 //!   50), so CI can run the same list in seconds. Scale changes job
@@ -38,7 +38,8 @@
 //! Exit codes: 0 every matrix job ok; 1 usage error; 3 every job ran but
 //! some failed (their ledger entries carry the reasons); 4 the farm
 //! itself died (injected crash, ledger drift, or a persistence failure) —
-//! a crash dump is written and the run resumes with `--resume`.
+//! a crash dump is written and the run resumes with `--resume` — or its
+//! summary table could not be written.
 
 use relaxfault_bench::emit;
 use relaxfault_farm::{
@@ -59,8 +60,9 @@ const USAGE: &str = "usage: farm run --matrix=figures|mini [--dir=PATH] [--jobs=
 /// work amount (`None` = the bin takes no positional work argument).
 type JobDef = (&'static str, Option<u64>);
 
-/// The full paper set: 13 figure/table bins. `fig15_performance` emits
-/// Figures 15 and 16 from one perf sweep.
+/// The full paper set: 9 figure/table bins. `fig10_14_reliability` emits
+/// Figures 10–14 from one sampled population per FIT level, and
+/// `fig15_performance` emits Figures 15 and 16 from one perf sweep.
 const FIGURES: &[JobDef] = &[
     ("table3_config", None),
     ("table4_workloads", None),
@@ -68,20 +70,17 @@ const FIGURES: &[JobDef] = &[
     ("table1_overhead", None),
     ("fig08_hashing", Some(60_000)),
     ("fig09_sensitivity", Some(60_000)),
-    ("fig10_coverage", Some(600_000)),
-    ("fig11_coverage_10x", Some(400_000)),
-    ("fig12_dues", Some(2_000_000)),
-    ("fig13_sdcs", Some(4_000_000)),
-    ("fig14_replacements", Some(200_000)),
+    ("fig10_14_reliability", Some(4_000_000)),
     ("fig15_performance", Some(300_000)),
     ("ablation_design", Some(40_000)),
 ];
 
-/// The 3-job list the CI crash/resume gate drives.
+/// The 3-job list the CI crash/resume gate drives. At 600k trials every
+/// job costs 1 at `--scale=0.02`, so one worker runs them in id order.
 const MINI: &[JobDef] = &[
     ("table3_config", None),
     ("fig08_hashing", Some(60_000)),
-    ("fig10_coverage", Some(600_000)),
+    ("fig10_14_reliability", Some(600_000)),
 ];
 
 struct Args {
@@ -354,7 +353,7 @@ fn main() -> ExitCode {
             for (id, outcome, detail) in &rows {
                 t.row(&[id.clone(), outcome.clone(), detail.clone()]);
             }
-            emit(
+            if let Err(e) = emit(
                 "farm_summary",
                 &format!(
                     "Figure farm: {} matrix ({} ok, {} skipped, {} failed)",
@@ -364,7 +363,10 @@ fn main() -> ExitCode {
                     report.failed.len()
                 ),
                 &t,
-            );
+            ) {
+                eprintln!("farm: {e}");
+                return ExitCode::from(4);
+            }
             relaxfault_bench::obs_finish();
             if report.failed.is_empty() {
                 ExitCode::SUCCESS

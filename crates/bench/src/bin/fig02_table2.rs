@@ -5,7 +5,7 @@ use relaxfault_bench::emit;
 use relaxfault_faults::{FaultMode, FitRates, Transience};
 use relaxfault_util::table::Table;
 
-fn main() {
+fn main() -> Result<(), String> {
     relaxfault_bench::obs_init();
     let mut t = Table::new(&[
         "fault mode",
@@ -36,6 +36,7 @@ fn main() {
         "fig02_table2",
         "Figure 2 / Table 2: FIT per device by fault mode",
         &t,
-    );
+    )?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

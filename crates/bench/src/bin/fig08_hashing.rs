@@ -3,7 +3,7 @@
 
 use relaxfault_bench::{emit, fig08_hashing};
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = relaxfault_bench::obs_init();
     let trials = args.work(60_000);
     let t = fig08_hashing(trials);
@@ -11,6 +11,7 @@ fn main() {
         "fig08_hashing",
         &format!("Figure 8: coverage vs set-index hashing ({trials} node trials)"),
         &t,
-    );
+    )?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

@@ -6,7 +6,7 @@
 use relaxfault_bench::emit;
 use relaxfault_bench::perf::{fig15_table, fig16_table, performance_sweep};
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = relaxfault_bench::obs_init();
     let instr = args.work(300_000);
     let rows = performance_sweep(instr, 2016);
@@ -14,11 +14,12 @@ fn main() {
         "fig15_performance",
         &format!("Figure 15: weighted speedup vs LLC repair capacity ({instr} instr/core)"),
         &fig15_table(&rows),
-    );
+    )?;
     emit(
         "fig16_power",
         &format!("Figure 16: relative DRAM dynamic power ({instr} instr/core)"),
         &fig16_table(&rows),
-    );
+    )?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

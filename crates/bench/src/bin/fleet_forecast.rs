@@ -24,7 +24,8 @@
 //! `--query` size), so a run can be followed from disk while it executes;
 //! `--quiet`/`RF_OBS=off` skip it like every other obs artifact.
 //!
-//! Exit codes: 0 success, 1 usage error, 4 the run died (simulated crash
+//! Exit codes: 0 success, 1 usage error or a table that cannot be
+//! written, 4 the run died (simulated crash
 //! or checkpoint failure) — a crash dump with the newest durable
 //! checkpoint embedded lands in `results/obs/`, and the run resumes with
 //! `--resume`.
@@ -252,16 +253,17 @@ fn main() -> ExitCode {
     // Replace process counters with the fleet's logical state so full and
     // resumed runs snapshot identically (the CI zero-delta gate).
     sim.publish_fleet_obs();
-    emit(
-        "fleet_totals",
-        &format!(
-            "Fleet totals ({} nodes, {} epochs)",
-            sim.nodes(),
-            sim.completed_epochs()
-        ),
-        &totals,
+    let title = format!(
+        "Fleet totals ({} nodes, {} epochs)",
+        sim.nodes(),
+        sim.completed_epochs()
     );
-    emit("fleet_forecast", "Fleet forecast by target size", &forecast);
+    let written = emit("fleet_totals", &title, &totals)
+        .and_then(|()| emit("fleet_forecast", "Fleet forecast by target size", &forecast));
+    if let Err(e) = written {
+        eprintln!("fleet_forecast: {e}");
+        return ExitCode::from(1);
+    }
     relaxfault_bench::obs_finish();
     ExitCode::SUCCESS
 }

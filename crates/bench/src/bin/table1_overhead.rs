@@ -7,7 +7,7 @@ use relaxfault_core::overhead::{EnergyOverhead, StorageOverhead};
 use relaxfault_dram::DramConfig;
 use relaxfault_util::table::Table;
 
-fn main() {
+fn main() -> Result<(), String> {
     relaxfault_bench::obs_init();
     let o = StorageOverhead::for_system(
         &DramConfig::isca16_reliability(),
@@ -38,7 +38,7 @@ fn main() {
         "table1_overhead",
         "Table 1: RelaxFault storage overhead",
         &t,
-    );
+    )?;
 
     let e = EnergyOverhead::isca16();
     let mut t2 = Table::new(&["quantity", "value"]);
@@ -57,6 +57,7 @@ fn main() {
             e.metadata_vs_dram_miss() * 100.0
         ),
     ]);
-    emit("table1_energy", "Section 3.3: energy overhead bounds", &t2);
+    emit("table1_energy", "Section 3.3: energy overhead bounds", &t2)?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

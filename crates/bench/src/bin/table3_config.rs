@@ -4,7 +4,7 @@ use relaxfault_bench::emit;
 use relaxfault_perfsim::SimConfig;
 use relaxfault_util::table::{format_bytes, Table};
 
-fn main() {
+fn main() -> Result<(), String> {
     relaxfault_bench::obs_init();
     let c = SimConfig::isca16();
     let mut t = Table::new(&["component", "configuration"]);
@@ -60,6 +60,7 @@ fn main() {
             c.timing.t_rp
         ),
     ]);
-    emit("table3_config", "Table 3: simulated system parameters", &t);
+    emit("table3_config", "Table 3: simulated system parameters", &t)?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

@@ -3,12 +3,13 @@
 use relaxfault_bench::emit;
 use relaxfault_bench::perf::table4;
 
-fn main() {
+fn main() -> Result<(), String> {
     relaxfault_bench::obs_init();
     emit(
         "table4_workloads",
         "Table 4: workloads (synthetic stand-ins)",
         &table4(),
-    );
+    )?;
     relaxfault_bench::obs_finish();
+    Ok(())
 }

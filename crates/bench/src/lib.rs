@@ -8,10 +8,12 @@
 //! output.
 //!
 //! ```bash
-//! cargo run --release -p relaxfault-bench --bin fig10_coverage -- 100000
+//! cargo run --release -p relaxfault-bench --bin fig08_hashing -- 100000
 //! ```
 
-use relaxfault_relsim::engine::{fault_population, run_scenarios, RunConfig};
+use relaxfault_relsim::engine::{
+    fault_population, run_prefixes, run_scenarios, RunConfig, ScenarioResult,
+};
 use relaxfault_relsim::scenario::{Mechanism, ReplacementPolicy, Scenario};
 use relaxfault_util::json::Value;
 use relaxfault_util::table::{format_bytes, format_pct, Table};
@@ -141,28 +143,30 @@ fn run_name(default: &str) -> String {
 }
 
 /// Prints a table to stdout and mirrors it (plus CSV and JSON) into the
-/// results directory (`RF_RESULTS_DIR`, default `results/`). When
-/// observability is enabled, the run's metrics snapshot (with its
-/// manifest) lands under `<dir>/obs/`, and so does `<run>.events.json`
-/// when the `RF_TRACE` filter captured events: the drained merged stream
-/// in the [`obs::events_to_json`] encoding crash dumps use.
-pub fn emit(name: &str, title: &str, table: &Table) {
+/// results directory (`RF_RESULTS_DIR`, default `results/`), or returns an
+/// error naming the file it could not write. When observability is
+/// enabled, the run's metrics snapshot (with its manifest) lands
+/// best-effort under `<dir>/obs/`, and so does `<run>.events.json` when
+/// the `RF_TRACE` filter captured events: the drained merged stream in the
+/// [`obs::events_to_json`] encoding crash dumps use.
+pub fn emit(name: &str, title: &str, table: &Table) -> Result<(), String> {
     println!("== {title} ==");
     print!("{}", table.render());
     println!();
     let dir = obs::results_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(
-            format!("{dir}/{name}.txt"),
-            format!("{title}\n{}", table.render()),
-        );
-        let _ = std::fs::write(format!("{dir}/{name}.csv"), table.to_csv());
-        let doc = Value::object([
-            ("schema_version", Value::from(obs::SCHEMA_VERSION)),
-            ("title", title.into()),
-            ("rows", table.to_json()),
-        ]);
-        let _ = std::fs::write(format!("{dir}/{name}.json"), doc.to_pretty());
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+    let doc = Value::object([
+        ("schema_version", Value::from(obs::SCHEMA_VERSION)),
+        ("title", title.into()),
+        ("rows", table.to_json()),
+    ]);
+    for (ext, text) in [
+        ("txt", format!("{title}\n{}", table.render())),
+        ("csv", table.to_csv()),
+        ("json", doc.to_pretty()),
+    ] {
+        let path = format!("{dir}/{name}.{ext}");
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     let run = run_name(name);
     if obs::metrics_enabled() {
@@ -179,21 +183,16 @@ pub fn emit(name: &str, title: &str, table: &Table) {
             Err(e) => eprintln!("events write failed: {e}"),
         }
     }
+    Ok(())
 }
 
 fn default_run(trials: u64) -> RunConfig {
     RunConfig {
         trials,
         seed: 2016,
-        threads: num_threads(),
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         chunk_size: 0,
     }
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Figure 8: repair coverage of RelaxFault and FreeFault with and without
@@ -223,64 +222,6 @@ pub fn fig08_hashing(trials: u64) -> Table {
     for ((label, r), p) in labels.iter().zip(&results).zip(paper) {
         t.row(&[label.to_string(), format_pct(r.coverage()), p.to_string()]);
     }
-    t
-}
-
-/// Figures 10/11: cumulative repair coverage vs required LLC capacity.
-/// `fit_scale` is 1 (Figure 10) or 10 (Figure 11).
-pub fn coverage_curves(fit_scale: f64, trials: u64) -> Table {
-    let base = Scenario::isca16_baseline()
-        .with_replacement(ReplacementPolicy::None)
-        .with_fit_scale(fit_scale);
-    let mut arms = vec![base.clone().with_mechanism(Mechanism::Ppr)];
-    for ways in [1, 4, 16] {
-        arms.push(
-            base.clone()
-                .with_mechanism(Mechanism::FreeFault { max_ways: ways }),
-        );
-    }
-    for ways in [1, 4, 16] {
-        arms.push(
-            base.clone()
-                .with_mechanism(Mechanism::RelaxFault { max_ways: ways }),
-        );
-    }
-    let mut results = run_scenarios(&arms, &default_run(trials));
-
-    let caps: Vec<u64> = vec![
-        64,
-        16 << 10,
-        32 << 10,
-        64 << 10,
-        82 << 10,
-        128 << 10,
-        192 << 10,
-        256 << 10,
-        512 << 10,
-        1 << 20,
-        2 << 20,
-    ];
-    let mut headers = vec!["capacity".to_string()];
-    headers.extend(results.iter().map(|r| r.label.clone()));
-    let mut t = Table::new(&headers);
-    for cap in caps {
-        let mut row = vec![format_bytes(cap)];
-        for r in results.iter_mut() {
-            // PPR uses no LLC: its coverage is flat.
-            let v = if r.label == "PPR" {
-                r.coverage()
-            } else {
-                r.coverage_at_bytes(cap)
-            };
-            row.push(format_pct(v));
-        }
-        t.row(&row);
-    }
-    let mut tail = vec!["(way-limit only)".to_string()];
-    for r in &results {
-        tail.push(format_pct(r.coverage()));
-    }
-    t.row(&tail);
     t
 }
 
@@ -322,15 +263,9 @@ pub fn fig09_sensitivity(trials: u64) -> (Table, Table) {
 }
 
 fn push_sensitivity_row(t: &mut Table, label: &str, scenario: Scenario, trials: u64) {
-    let pop = fault_population(
-        &scenario.fault_model,
-        &scenario.dram,
-        trials,
-        2016,
-        num_threads(),
-    );
-    let arms = vec![scenario];
-    let r = &run_scenarios(&arms, &default_run(trials))[0];
+    let run = default_run(trials);
+    let pop = fault_population(&scenario.fault_model, &scenario.dram, &run);
+    let r = &run_scenarios(&[scenario], &run)[0];
     t.row(&[
         label.to_string(),
         format!("{:.0}", pop.per_system(pop.faulty_nodes, SYSTEM_NODES)),
@@ -344,95 +279,167 @@ fn push_sensitivity_row(t: &mut Table, label: &str, scenario: Scenario, trials: 
     ]);
 }
 
-/// Figures 12–14: expected DUEs, SDCs, and DIMM replacements per
-/// 16,384-node system over 6 years, for a repair-mechanism matrix.
-pub struct ReliabilityTables {
-    /// Figure 12 (DUEs).
-    pub dues: Table,
-    /// Figure 13 (SDCs).
-    pub sdcs: Table,
-    /// Figure 14, ReplA policy (replace after a non-transient DUE).
-    pub replacements_after_due: Table,
-    /// Figure 14, ReplB policy (replace after an error-threshold crossing).
-    pub replacements_after_errors: Table,
+/// The Figs 12–14 mechanism matrix, in table row order.
+const MATRIX: [Mechanism; 6] = [
+    Mechanism::None,
+    Mechanism::Ppr,
+    Mechanism::FreeFault { max_ways: 1 },
+    Mechanism::FreeFault { max_ways: 4 },
+    Mechanism::RelaxFault { max_ways: 1 },
+    Mechanism::RelaxFault { max_ways: 4 },
+];
+
+/// Figures 10–14 from one sampled population per FIT level: the ten
+/// tables as `(file name, title, table)`. `n` is the Figure 13a trial
+/// count. Every other table keeps its fixed share of `n` and reads the
+/// prefix of its level's run at that count, so it equals a standalone run
+/// at that count (see [`run_prefixes`]).
+pub fn fig10_14_reliability(n: u64) -> Vec<(&'static str, String, Table)> {
+    let x1 @ [t14a, t10, t12a, t13a] = [n / 20, 3 * n / 20, n / 2, n];
+    let x10 @ [t14b, t11, t12b, t13b] = [n / 60, n / 10, n / 6, n / 4];
+    let [fig10, fig12a, fig13a, fig14a, fig14c] = reliability_level(1.0, x1);
+    let [fig11, fig12b, fig13b, fig14b, fig14d] = reliability_level(10.0, x10);
+    vec![
+        (
+            "fig10_coverage",
+            format!("Figure 10: coverage vs LLC capacity, 1x FIT ({t10} node trials)"),
+            fig10,
+        ),
+        (
+            "fig11_coverage_10x",
+            format!("Figure 11: coverage vs LLC capacity, 10x FIT ({t11} node trials)"),
+            fig11,
+        ),
+        (
+            "fig12a_dues_1x",
+            format!("Figure 12a: DUEs per system, 1x FIT ({t12a} node trials)"),
+            fig12a,
+        ),
+        (
+            "fig12b_dues_10x",
+            format!("Figure 12b: DUEs per system, 10x FIT ({t12b} node trials)"),
+            fig12b,
+        ),
+        (
+            "fig13a_sdcs_1x",
+            format!("Figure 13a: SDCs per system, 1x FIT ({t13a} node trials)"),
+            fig13a,
+        ),
+        (
+            "fig13b_sdcs_10x",
+            format!("Figure 13b: SDCs per system, 10x FIT ({t13b} node trials)"),
+            fig13b,
+        ),
+        (
+            "fig14a_repl_due_1x",
+            format!("Figure 14a: replacements after first DUE, 1x FIT ({t14a} trials)"),
+            fig14a,
+        ),
+        (
+            "fig14b_repl_due_10x",
+            format!("Figure 14b: replacements after first DUE, 10x FIT ({t14b} trials)"),
+            fig14b,
+        ),
+        (
+            "fig14c_repl_errors_1x",
+            format!("Figure 14c: replacements after frequent errors, 1x FIT ({t14a} trials)"),
+            fig14c,
+        ),
+        (
+            "fig14d_repl_errors_10x",
+            format!("Figure 14d: replacements after frequent errors, 10x FIT ({t14b} trials)"),
+            fig14d,
+        ),
+    ]
 }
 
-/// Runs the Figures 12–14 matrix at one FIT scale.
-pub fn reliability_matrix(fit_scale: f64, trials: u64) -> ReliabilityTables {
+/// One FIT level's Figures 10–14 tables (coverage, DUEs, SDCs, and
+/// replacements under ReplA and ReplB), read at the nondecreasing trial
+/// counts `[fig14, coverage, fig12, fig13]`. One run holds the 12-arm
+/// matrix and the coverage figure's five no-replacement arms, which share
+/// the matrix's planner keys and so add replay only (under ReplA, replay
+/// skips a DUE-replaced fault before counting it unrepaired, so coverage
+/// needs its own arms). A second run holds the two 16-way coverage arms
+/// up to the coverage count.
+fn reliability_level(fit_scale: f64, cuts: [u64; 4]) -> [Table; 5] {
     let base = Scenario::isca16_baseline().with_fit_scale(fit_scale);
     let replb = ReplacementPolicy::AfterErrors {
         trigger_prob: Scenario::REPLB_TRIGGER,
     };
-    let mechanisms: Vec<(&str, Vec<Mechanism>)> = vec![
-        ("No repair", vec![Mechanism::None]),
-        ("PPR", vec![Mechanism::Ppr]),
-        (
-            "FreeFault",
-            vec![
-                Mechanism::FreeFault { max_ways: 1 },
-                Mechanism::FreeFault { max_ways: 4 },
-            ],
-        ),
-        (
-            "RelaxFault",
-            vec![
-                Mechanism::RelaxFault { max_ways: 1 },
-                Mechanism::RelaxFault { max_ways: 4 },
-            ],
-        ),
-    ];
-    // Build one flat arm list per policy.
-    let mut arms = Vec::new();
-    for (_, ms) in &mechanisms {
-        for m in ms {
-            arms.push(base.clone().with_mechanism(*m)); // ReplA default
-        }
-    }
-    let n_repla = arms.len();
-    for (_, ms) in &mechanisms {
-        for m in ms {
-            arms.push(base.clone().with_mechanism(*m).with_replacement(replb));
-        }
-    }
-    let results = run_scenarios(&arms, &default_run(trials));
+    let no_repl = |m| {
+        base.clone()
+            .with_mechanism(m)
+            .with_replacement(ReplacementPolicy::None)
+    };
+    let mut arms: Vec<Scenario> = MATRIX.map(|m| base.clone().with_mechanism(m)).into();
+    arms.extend(MATRIX.map(|m| base.clone().with_mechanism(m).with_replacement(replb)));
+    arms.extend(MATRIX[1..].iter().map(|&m| no_repl(m)));
+    let [at14, mut at_cov, at12, at13]: [Vec<ScenarioResult>; 4] =
+        run_prefixes(&arms, &default_run(cuts[3]), &cuts)
+            .try_into()
+            .expect("one result set per cut");
+    let mut wide = run_scenarios(
+        &[
+            no_repl(Mechanism::FreeFault { max_ways: 16 }),
+            no_repl(Mechanism::RelaxFault { max_ways: 16 }),
+        ],
+        &default_run(cuts[1]),
+    );
+    // Figures 10/11's columns: PPR, FreeFault-1/4/16, RelaxFault-1/4/16.
+    let mut curves = at_cov.split_off(12);
+    curves.insert(3, wide.remove(0));
+    curves.append(&mut wide);
+    [
+        coverage_table(&mut curves),
+        matrix_table(&at12[..6], |r| r.dues_per_system(SYSTEM_NODES)),
+        matrix_table(&at13[..6], |r| r.sdcs_per_system(SYSTEM_NODES)),
+        matrix_table(&at14[..6], |r| r.replacements_per_system(SYSTEM_NODES)),
+        matrix_table(&at14[6..12], |r| r.replacements_per_system(SYSTEM_NODES)),
+    ]
+}
 
-    let headers = ["mechanism", "no-repair/1-way", "4-way"];
-    let mut dues = Table::new(&headers);
-    let mut sdcs = Table::new(&headers);
-    let mut repla = Table::new(&headers);
-    let mut replb_t = Table::new(&headers);
-    let mut idx = 0;
-    let mut rows: Vec<(String, Vec<usize>)> = Vec::new();
-    for (name, ms) in &mechanisms {
-        let idxs: Vec<usize> = (0..ms.len()).map(|k| idx + k).collect();
-        idx += ms.len();
-        rows.push((name.to_string(), idxs));
-    }
-    for (name, idxs) in &rows {
-        let cell = |t: &mut Table, f: &dyn Fn(usize) -> f64| {
-            let one = f(idxs[0]);
-            let four = if idxs.len() > 1 {
-                format!("{:.3}", f(idxs[1]))
+/// Figures 10/11: cumulative repair coverage vs required LLC capacity,
+/// one column per arm.
+fn coverage_table(results: &mut [ScenarioResult]) -> Table {
+    // 64 B (one line), then 16 KiB to 2 MiB.
+    let kib = [16, 32, 64, 82, 128, 192, 256, 512, 1024, 2048];
+    let caps = std::iter::once(64).chain(kib.map(|k: u64| k << 10));
+    let mut headers = vec!["capacity".to_string()];
+    headers.extend(results.iter().map(|r| r.label.clone()));
+    let mut t = Table::new(&headers);
+    for cap in caps {
+        let mut row = vec![format_bytes(cap)];
+        for r in results.iter_mut() {
+            // PPR uses no LLC: its coverage is flat.
+            let v = if r.label == "PPR" {
+                r.coverage()
             } else {
-                "-".into()
+                r.coverage_at_bytes(cap)
             };
-            t.row(&[name.clone(), format!("{one:.3}"), four]);
-        };
-        cell(&mut dues, &|i| results[i].dues_per_system(SYSTEM_NODES));
-        cell(&mut sdcs, &|i| results[i].sdcs_per_system(SYSTEM_NODES));
-        cell(&mut repla, &|i| {
-            results[i].replacements_per_system(SYSTEM_NODES)
-        });
-        cell(&mut replb_t, &|i| {
-            results[n_repla + i].replacements_per_system(SYSTEM_NODES)
-        });
+            row.push(format_pct(v));
+        }
+        t.row(&row);
     }
-    ReliabilityTables {
-        dues,
-        sdcs,
-        replacements_after_due: repla,
-        replacements_after_errors: replb_t,
+    let mut tail = vec!["(way-limit only)".to_string()];
+    tail.extend(results.iter().map(|r| format_pct(r.coverage())));
+    t.row(&tail);
+    t
+}
+
+/// One Figs 12–14 table from six arms in [`MATRIX`] order: a row per
+/// mechanism, with its 1-way and 4-way values where it has a way limit.
+fn matrix_table(arms: &[ScenarioResult], per_system: impl Fn(&ScenarioResult) -> f64) -> Table {
+    let mut t = Table::new(&["mechanism", "no-repair/1-way", "4-way"]);
+    let cell = |i: usize| format!("{:.3}", per_system(&arms[i]));
+    for (name, one, four) in [
+        ("No repair", 0, None),
+        ("PPR", 1, None),
+        ("FreeFault", 2, Some(3)),
+        ("RelaxFault", 4, Some(5)),
+    ] {
+        t.row(&[name.to_string(), cell(one), four.map_or("-".into(), cell)]);
     }
+    t
 }
 
 #[cfg(test)]
@@ -447,16 +454,15 @@ mod tests {
     }
 
     #[test]
-    fn coverage_table_shape() {
-        let t = coverage_curves(1.0, 400);
-        assert!(t.len() >= 11);
-        assert!(t.render().contains("82KiB"));
-    }
-
-    #[test]
-    fn reliability_matrix_shape() {
-        let r = reliability_matrix(1.0, 400);
-        assert_eq!(r.dues.len(), 4);
-        assert_eq!(r.replacements_after_errors.len(), 4);
+    fn fig10_14_table_shapes() {
+        let tables = fig10_14_reliability(1200);
+        assert_eq!(tables.len(), 10);
+        for (name, _, t) in &tables {
+            // 11 capacities plus the way-limit row, or 4 mechanism rows.
+            let rows = if name.contains("coverage") { 12 } else { 4 };
+            assert_eq!(t.len(), rows, "{name}");
+        }
+        assert!(tables[0].2.render().contains("RelaxFault-16way"));
+        assert!(tables[1].1.contains("(120 node trials)"));
     }
 }

@@ -66,7 +66,7 @@ fn run(cmd: &mut Command) -> (i32, String) {
 /// (a) archive the captured ReproCase, (b) re-queue it as a diagnostic
 /// job whose ledger entry says `repro`/`ok`, (c) record the failure's
 /// panic message and archive path in the failed job's entry, and (d)
-/// still run the other jobs (fig10 and table3 ok) before exiting 3. The
+/// still run the other jobs (fig10_14 and table3 ok) before exiting 3. The
 /// archived case must replay in-process and reproduce the recorded
 /// failure.
 #[test]
@@ -101,7 +101,7 @@ fn fail_job_archives_replayable_repro_and_queues_diagnostic() {
     assert_eq!(diag.role, JobRole::Repro, "diagnostic must be marked repro");
     assert_eq!(diag.status, JobStatus::Ok, "diagnostic replay must pass");
 
-    for id in ["fig10_coverage", "table3_config"] {
+    for id in ["fig10_14_reliability", "table3_config"] {
         let entry = ledger.entry(id).unwrap();
         assert_eq!(
             entry.status,
@@ -156,7 +156,7 @@ fn repair_archives_the_case_the_child_named() {
 
 /// The crash hook + resume contract at the CLI level: with one worker
 /// the three unit-cost jobs run in id order, so a mid-job crash in
-/// fig10_coverage exits 4 after fig08_hashing is ledgered ok, and leaves
+/// fig10_14_reliability exits 4 after fig08_hashing is ledgered ok, and leaves
 /// a crash dump; re-running with `--resume` skips fig08_hashing, re-runs
 /// the in-flight job, and exits 0 with every ledger entry `ok`.
 #[test]
@@ -164,7 +164,7 @@ fn crash_then_resume_completes_matrix() {
     let dir = scratch_dir("resume");
     let (code, text) = run(farm_cmd(&dir)
         .arg("--jobs=1")
-        .env("RF_FARM_CRASH_AT", "mid:fig10_coverage"));
+        .env("RF_FARM_CRASH_AT", "mid:fig10_14_reliability"));
     assert_eq!(code, 4, "expected exit 4 (farm died):\n{text}");
     assert!(
         dir.join("obs").join("farm.crashdump.json").exists(),
@@ -179,7 +179,7 @@ fn crash_then_resume_completes_matrix() {
         "completed job must be skipped on resume:\n{summary}"
     );
     let ledger = FarmLedger::load(&ledger_path(&dir)).unwrap();
-    for id in ["table3_config", "fig08_hashing", "fig10_coverage"] {
+    for id in ["table3_config", "fig08_hashing", "fig10_14_reliability"] {
         let entry = ledger.entry(id).unwrap();
         assert_eq!(entry.status, JobStatus::Ok, "{id} must be ok after resume");
     }

@@ -1,6 +1,6 @@
 //! Figure-farm orchestration: a resumable job list with auto-repair.
 //!
-//! The paper's result set is 13 figure/table bins; this crate turns
+//! The paper's result set is 9 figure/table bins; this crate turns
 //! "regenerate the paper" into one resumable command. A [`Farm`] runs a
 //! list of independent jobs with at most `workers` of them in flight:
 //!

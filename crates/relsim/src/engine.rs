@@ -188,6 +188,14 @@ impl ScenarioResult {
     }
 }
 
+/// One empty accumulator per arm.
+fn fresh_results(scenarios: &[Scenario]) -> Vec<ScenarioResult> {
+    scenarios
+        .iter()
+        .map(|s| ScenarioResult::new(s.mechanism.label()))
+        .collect()
+}
+
 /// Observability handles for the Monte Carlo hot loop, resolved once so
 /// per-trial updates are a relaxed load and a branch when disabled.
 struct EngineMetrics {
@@ -336,10 +344,7 @@ impl<'a> Worker<'a> {
                 .map(|(model, _)| FaultSampler::new(model, &cfg))
                 .collect(),
             seed,
-            local: scenarios
-                .iter()
-                .map(|s| ScenarioResult::new(s.mechanism.label()))
-                .collect(),
+            local: fresh_results(scenarios),
             node: NodeFaults::default(),
             arms: ArmScratch::new(scenarios),
             metrics: engine_metrics(),
@@ -503,22 +508,95 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Runs every scenario arm over `run.trials` node lifetimes.
+/// The engine's one chunk scheduler. `run.threads` workers, each built by
+/// `new_worker` on its own thread, claim chunks of each segment
+/// `0..cuts[0]`, `cuts[0]..cuts[1]`, … from that segment's atomic cursor
+/// and pass every trial to `run_trial`. A worker whose segment runs out
+/// hands back `end_segment`'s partial and moves on, so no worker waits at
+/// a cut. Returns each worker's partials, one per segment. Which worker
+/// runs a trial never affects its result, so work stealing keeps
+/// determinism while absorbing the skew between clean and faulty chunks.
+fn schedule<W, P: Send>(
+    run: &RunConfig,
+    cuts: &[u64],
+    new_worker: impl Fn() -> W + Sync,
+    run_trial: impl Fn(&mut W, u64) + Sync,
+    end_segment: impl Fn(&mut W) -> P + Sync,
+) -> Vec<Vec<P>> {
+    let threads = run.threads.max(1);
+    let chunk = run.resolved_chunk_size(threads);
+    let starts = std::iter::once(0).chain(cuts.iter().copied());
+    let segments: Vec<(AtomicU64, u64)> = starts
+        .zip(cuts)
+        .map(|(lo, &hi)| (AtomicU64::new(lo), hi))
+        .collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut worker = new_worker();
+                    let mut partials = Vec::with_capacity(segments.len());
+                    for (cursor, end) in &segments {
+                        loop {
+                            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+                            if lo >= *end {
+                                break;
+                            }
+                            for trial in lo..(lo + chunk).min(*end) {
+                                run_trial(&mut worker, trial);
+                            }
+                        }
+                        partials.push(end_segment(&mut worker));
+                    }
+                    partials
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
+}
+
+/// Runs every scenario arm over `run.trials` node lifetimes: the one-cut
+/// case of [`run_prefixes`].
 ///
 /// Arms with identical fault models see identical fault populations, and
 /// every trial's RNG streams are keyed on `(seed, trial, group)` — never on
 /// which worker thread ran the trial — so results are bit-identical for a
 /// given seed at any `threads` setting.
+pub fn run_scenarios(scenarios: &[Scenario], run: &RunConfig) -> Vec<ScenarioResult> {
+    run_prefixes(scenarios, run, &[run.trials])
+        .pop()
+        .expect("one cut yields one result set")
+}
+
+/// Runs every scenario arm over `run.trials` node lifetimes and returns
+/// the cumulative results after each of the `cuts` trial counts. Entry `k`
+/// equals [`run_scenarios`] at `trials: cuts[k]` bit for bit: a trial's
+/// result depends only on `(seed, trial index)`, and results merge
+/// commutatively.
 ///
 /// # Panics
 ///
-/// Panics if `scenarios` is empty or arms disagree on the DRAM config.
-pub fn run_scenarios(scenarios: &[Scenario], run: &RunConfig) -> Vec<ScenarioResult> {
+/// Panics if `scenarios` is empty, arms disagree on the DRAM config, or
+/// `cuts` is not nondecreasing with its last entry equal to `run.trials`.
+pub fn run_prefixes(
+    scenarios: &[Scenario],
+    run: &RunConfig,
+    cuts: &[u64],
+) -> Vec<Vec<ScenarioResult>> {
     assert!(!scenarios.is_empty(), "no scenarios given");
     let cfg = scenarios[0].dram;
     assert!(
         scenarios.iter().all(|s| s.dram == cfg),
         "all arms must share one DRAM geometry"
+    );
+    assert!(
+        cuts.windows(2).all(|w| w[0] <= w[1]) && cuts.last() == Some(&run.trials),
+        "cuts {cuts:?} must be nondecreasing and end at run.trials = {}",
+        run.trials
     );
     trace_event!(target: "relsim", Level::Info, "run_start",
         arms = scenarios.len(), trials = run.trials, seed = run.seed);
@@ -547,49 +625,25 @@ pub fn run_scenarios(scenarios: &[Scenario], run: &RunConfig) -> Vec<ScenarioRes
         }
     }
 
-    let threads = run.threads.max(1);
-    let chunk = run.resolved_chunk_size(threads);
-    // Work-stealing chunk queue: workers claim contiguous trial ranges
-    // from one atomic cursor. Which worker runs a trial never affects its
-    // result (RNG streams are keyed on the trial index and every local
-    // accumulation merges commutatively), so dynamic scheduling keeps
-    // determinism while absorbing the skew between all-clean chunks and
-    // chunks dense in faulty nodes.
-    let next_chunk = AtomicU64::new(0);
-    let mut partials: Vec<Vec<ScenarioResult>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let groups = &groups;
-            let next_chunk = &next_chunk;
-            let seed = run.seed;
-            let trials = run.trials;
-            handles.push(scope.spawn(move || {
-                let mut worker = Worker::new(scenarios, cfg, groups, seed);
-                loop {
-                    let lo = next_chunk.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= trials {
-                        break;
-                    }
-                    for trial in lo..(lo + chunk).min(trials) {
-                        worker.run_trial(trial);
-                    }
-                }
-                worker.local
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("worker thread panicked"));
-        }
-    });
+    let partials = schedule(
+        run,
+        cuts,
+        || Worker::new(scenarios, cfg, &groups, run.seed),
+        Worker::run_trial,
+        |w| std::mem::replace(&mut w.local, fresh_results(scenarios)),
+    );
 
-    let mut results: Vec<ScenarioResult> = scenarios
-        .iter()
-        .map(|s| ScenarioResult::new(s.mechanism.label()))
-        .collect();
-    for partial in &partials {
-        for (r, p) in results.iter_mut().zip(partial) {
-            r.merge(p);
+    // Merge segment by segment; only the cuts before the last are cloned.
+    let mut results = fresh_results(scenarios);
+    let mut cumulative = Vec::with_capacity(cuts.len());
+    for k in 0..cuts.len() {
+        for worker in &partials {
+            for (r, p) in results.iter_mut().zip(&worker[k]) {
+                r.merge(p);
+            }
+        }
+        if k + 1 < cuts.len() {
+            cumulative.push(results.clone());
         }
     }
     for r in &results {
@@ -601,7 +655,8 @@ pub fn run_scenarios(scenarios: &[Scenario], run: &RunConfig) -> Vec<ScenarioRes
             sdcs = r.sdcs,
             replacements = r.replacements);
     }
-    results
+    cumulative.push(results);
+    cumulative
 }
 
 /// Raw fault-population statistics (no mechanism), for the paper's
@@ -626,86 +681,66 @@ impl PopulationStats {
     }
 }
 
-/// Samples `trials` node lifetimes and reports population statistics.
-pub fn fault_population(
-    model: &FaultModel,
-    cfg: &DramConfig,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-) -> PopulationStats {
-    let threads = threads.max(1);
-    let chunk = (trials / (64 * threads as u64)).max(256);
-    let next_chunk = AtomicU64::new(0);
-    let mut totals = PopulationStats::default();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let next_chunk = &next_chunk;
-            handles.push(scope.spawn(move || {
-                let mut stats = PopulationStats::default();
-                let sampler = FaultSampler::new(model, cfg);
-                let mut node = NodeFaults::default();
-                // Sorted (dimm, device) scratch replacing a per-trial
-                // HashMap<dimm, HashSet<device>>.
-                let mut devs: Vec<(u32, u32)> = Vec::new();
-                let population_trials = obs::counter("relsim.population_trials");
-                let population_faulty = obs::counter("relsim.population_faulty");
-                loop {
-                    let lo = next_chunk.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= trials {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(trials);
-                    for trial in lo..hi {
-                        let mut rng = Rng64::seed_from_u64(mix64(seed, trial, 0));
-                        stats.trials += 1;
-                        population_trials.inc();
-                        // Zero-fault fast path (see run_scenarios).
-                        if sampler.trial_is_clean(&mut rng) {
-                            continue;
-                        }
-                        let _obs_scope = obs::scope(trial, 0);
-                        sampler.sample_faulty_into(&mut rng, &mut node);
-                        if !node.is_faulty() {
-                            continue;
-                        }
-                        stats.faulty_nodes += 1;
-                        population_faulty.inc();
-                        devs.clear();
-                        for e in node.permanent() {
-                            for r in &e.regions {
-                                devs.push((r.rank.dimm_index(cfg), r.device));
-                            }
-                        }
-                        devs.sort_unstable();
-                        devs.dedup();
-                        // Each DIMM is now a contiguous run of distinct
-                        // devices.
-                        let mut i = 0;
-                        while i < devs.len() {
-                            let dimm = devs[i].0;
-                            let mut j = i;
-                            while j < devs.len() && devs[j].0 == dimm {
-                                j += 1;
-                            }
-                            stats.faulty_dimms += 1;
-                            stats.multi_device_dimms += (j - i >= 2) as u64;
-                            i = j;
-                        }
-                    }
+/// Samples `run.trials` node lifetimes and reports population statistics.
+/// The lifetimes are the ones [`run_scenarios`] samples for a one-group
+/// run with the same `run`.
+pub fn fault_population(model: &FaultModel, cfg: &DramConfig, run: &RunConfig) -> PopulationStats {
+    let population_trials = obs::counter("relsim.population_trials");
+    let population_faulty = obs::counter("relsim.population_faulty");
+    let partials = schedule(
+        run,
+        &[run.trials],
+        // Per worker: its tallies, its sampler, the lifetime buffer, and a
+        // sorted (dimm, device) scratch replacing a per-trial
+        // HashMap<dimm, HashSet<device>>.
+        || {
+            let sampler = FaultSampler::new(model, cfg);
+            let devs: Vec<(u32, u32)> = Vec::new();
+            (
+                PopulationStats::default(),
+                sampler,
+                NodeFaults::default(),
+                devs,
+            )
+        },
+        |(stats, sampler, node, devs), trial| {
+            let mut rng = Rng64::seed_from_u64(sample_rng_seed(run.seed, trial, 0));
+            stats.trials += 1;
+            population_trials.inc();
+            // Zero-fault fast path (see Worker::run_trial).
+            if sampler.trial_is_clean(&mut rng) {
+                return;
+            }
+            let _obs_scope = obs::scope(trial, 0);
+            sampler.sample_faulty_into(&mut rng, node);
+            if !node.is_faulty() {
+                return;
+            }
+            stats.faulty_nodes += 1;
+            population_faulty.inc();
+            devs.clear();
+            for e in node.permanent() {
+                for r in &e.regions {
+                    devs.push((r.rank.dimm_index(cfg), r.device));
                 }
-                stats
-            }));
-        }
-        for h in handles {
-            let s = h.join().expect("worker thread panicked");
-            totals.trials += s.trials;
-            totals.faulty_nodes += s.faulty_nodes;
-            totals.faulty_dimms += s.faulty_dimms;
-            totals.multi_device_dimms += s.multi_device_dimms;
-        }
-    });
+            }
+            devs.sort_unstable();
+            devs.dedup();
+            // Each DIMM is now a contiguous run of distinct devices.
+            for dimm in devs.chunk_by(|a, b| a.0 == b.0) {
+                stats.faulty_dimms += 1;
+                stats.multi_device_dimms += (dimm.len() >= 2) as u64;
+            }
+        },
+        |(stats, ..)| std::mem::take(stats),
+    );
+    let mut totals = PopulationStats::default();
+    for s in partials.iter().flatten() {
+        totals.trials += s.trials;
+        totals.faulty_nodes += s.faulty_nodes;
+        totals.faulty_dimms += s.faulty_dimms;
+        totals.multi_device_dimms += s.multi_device_dimms;
+    }
     totals
 }
 
@@ -715,9 +750,12 @@ mod tests {
     use crate::scenario::{Mechanism, ReplacementPolicy};
 
     #[test]
-    fn deterministic_across_thread_counts() {
-        // Bit-identical results at every threads setting: RNG streams are
-        // keyed on (seed, trial, group), never on the worker thread. The
+    fn deterministic_across_threads_and_chunk_sizes() {
+        // Bit-identical results at every (threads, chunk_size) pair: RNG
+        // streams are keyed on (seed, trial, group), never on the worker
+        // thread, and the chunk queue changes only *which worker* runs a
+        // trial. The grid includes a chunk of 1 (maximal stealing) and one
+        // larger than the whole run (one worker does everything). The
         // companion contract — the merged *trace stream* is byte-identical
         // across thread counts — is asserted in the workspace-level
         // `tests/obs_determinism.rs`, which owns a whole process (the
@@ -729,79 +767,29 @@ mod tests {
                 .with_replacement(ReplacementPolicy::None),
             Scenario::isca16_baseline().with_mechanism(Mechanism::Ppr),
         ];
-        let reference = run_scenarios(
-            &arms,
-            &RunConfig {
-                trials: 300,
-                seed: 42,
-                threads: 1,
-                chunk_size: 0,
-            },
-        );
-        for threads in [2, 4, 7] {
-            let r = run_scenarios(
+        let run = |seed, threads, chunk_size| {
+            run_scenarios(
                 &arms,
                 &RunConfig {
                     trials: 300,
-                    seed: 42,
+                    seed,
                     threads,
-                    chunk_size: 0,
+                    chunk_size,
                 },
-            );
-            assert_eq!(r, reference, "threads={threads} diverged from threads=1");
-        }
-        // And a different seed gives a different population.
-        let other = run_scenarios(
-            &arms,
-            &RunConfig {
-                trials: 300,
-                seed: 43,
-                threads: 1,
-                chunk_size: 0,
-            },
-        );
-        assert_ne!(other, reference);
-    }
-
-    #[test]
-    fn deterministic_across_chunk_sizes() {
-        // The work-stealing chunk queue changes only *which worker* runs a
-        // trial, never its RNG stream, so any (threads, chunk_size) pair
-        // must reproduce the single-threaded result bit for bit — including
-        // a pathological chunk of 1 (maximal stealing) and a chunk larger
-        // than the whole run (one worker does everything).
-        let arms = vec![
-            Scenario::isca16_baseline()
-                .with_mechanism(Mechanism::RelaxFault { max_ways: 1 })
-                .with_replacement(ReplacementPolicy::None),
-            Scenario::isca16_baseline().with_mechanism(Mechanism::Ppr),
-        ];
-        let reference = run_scenarios(
-            &arms,
-            &RunConfig {
-                trials: 300,
-                seed: 42,
-                threads: 1,
-                chunk_size: 0,
-            },
-        );
-        for threads in [1usize, 2, 4] {
-            for chunk_size in [1u64, 257, 8192] {
-                let r = run_scenarios(
-                    &arms,
-                    &RunConfig {
-                        trials: 300,
-                        seed: 42,
-                        threads,
-                        chunk_size,
-                    },
-                );
+            )
+        };
+        let reference = run(42, 1, 0);
+        for threads in [1usize, 2, 4, 7] {
+            for chunk_size in [0u64, 1, 257, 8192] {
                 assert_eq!(
-                    r, reference,
+                    run(42, threads, chunk_size),
+                    reference,
                     "threads={threads} chunk_size={chunk_size} diverged"
                 );
             }
         }
+        // And a different seed gives a different population.
+        assert_ne!(run(43, 1, 0), reference);
     }
 
     #[test]
@@ -859,7 +847,11 @@ mod tests {
         use relaxfault_faults::{FaultModel, FitRates};
         let cfg = relaxfault_dram::DramConfig::isca16_reliability();
         let model = FaultModel::isca16(FitRates::cielo(), 6.0);
-        let p = fault_population(&model, &cfg, 4000, 99, 4);
+        let run = RunConfig {
+            seed: 99,
+            ..RunConfig::quick(4000)
+        };
+        let p = fault_population(&model, &cfg, &run);
         assert_eq!(p.trials, 4000);
         let frac = p.faulty_nodes as f64 / p.trials as f64;
         assert!((0.08..0.17).contains(&frac), "faulty fraction {frac}");

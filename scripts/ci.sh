@@ -220,10 +220,10 @@ fi
 # resume to the exact artifacts of an uninterrupted run, and an injected
 # deterministic failure must be captured as a replayable ReproCase
 # without stopping the other jobs. Three legs over the mini matrix
-# (fig08_hashing, fig10_coverage, table3_config: all cost 1 at
+# (fig08_hashing, fig10_14_reliability, table3_config: all cost 1 at
 # --scale=0.02, so one worker runs them in id order): (1) an
 # uninterrupted reference run, (2) a one-worker crash at
-# mid:fig10_coverage (must exit 4, with fig08_hashing already ledgered
+# mid:fig10_14_reliability (must exit 4, with fig08_hashing already ledgered
 # ok) followed by --resume (must exit 0, skip fig08_hashing, and leave
 # reference-identical tables; obs_diff writes the verdict to
 # results/ci/farm_resume_verdict.json), (3) a --fail-job run (must exit
@@ -234,7 +234,7 @@ RF_OBS=on cargo run --release -q -p relaxfault-bench --bin farm -- \
     run --matrix=mini --scale=0.02 --jobs=2 --dir=results/ci/farm_ref \
     || { echo "farm gate: reference run failed" >&2; exit 8; }
 rc=0
-RF_OBS=on RF_FARM_CRASH_AT=mid:fig10_coverage \
+RF_OBS=on RF_FARM_CRASH_AT=mid:fig10_14_reliability \
     cargo run --release -q -p relaxfault-bench --bin farm -- \
     run --matrix=mini --scale=0.02 --jobs=1 --dir=results/ci/farm_crash \
     || rc=$?
@@ -246,18 +246,18 @@ RF_OBS=on cargo run --release -q -p relaxfault-bench --bin farm -- \
     || { echo "farm gate: resume did not finish the matrix" >&2; exit 8; }
 grep -q "fig08_hashing,skipped" results/ci/farm_crash/farm_summary.csv \
     || { echo "farm gate: resume re-ran a completed job" >&2; exit 8; }
-for job in table3_config fig08_hashing fig10_coverage; do
-    cmp -s "results/ci/farm_ref/$job.json" "results/ci/farm_crash/$job.json" \
-        || { echo "farm gate: resumed $job table drifted from the reference" >&2; exit 8; }
+for ref in results/ci/farm_ref/{fig,table}*.json; do
+    cmp -s "$ref" "results/ci/farm_crash/${ref##*/}" \
+        || { echo "farm gate: resumed ${ref##*/} drifted from the reference" >&2; exit 8; }
 done
 cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
     results/ci/farm_ref/obs/fig08_hashing.json results/ci/farm_crash/obs/fig08_hashing.json \
     --threshold 10 \
     || { echo "farm gate: resumed fig08_hashing metrics drifted" >&2; exit 8; }
 cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
-    results/ci/farm_ref/obs/fig10_coverage.json results/ci/farm_crash/obs/fig10_coverage.json \
+    results/ci/farm_ref/obs/fig10_14_reliability.json results/ci/farm_crash/obs/fig10_14_reliability.json \
     --threshold 10 --out results/ci/farm_resume_verdict.json \
-    || { echo "farm gate: resumed fig10_coverage metrics drifted" >&2; exit 8; }
+    || { echo "farm gate: resumed fig10_14_reliability metrics drifted" >&2; exit 8; }
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/farm_crash/farm \
     || { echo "farm gate: farm ledger failed validation" >&2; exit 8; }
 rc=0
