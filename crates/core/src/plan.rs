@@ -101,11 +101,9 @@ fn ppr_metrics() -> &'static PlanMetrics {
 pub struct PlanScratch {
     /// `(flat rank, device, bank, row)` rows for the PPR planner.
     rows: Vec<(u32, u32, u32, u32)>,
-    /// Per-set fresh-line counts for the current begin/offer/finish add,
-    /// indexed by set. Zeroed (via `touched`) before `finish` returns.
-    set_counts: Vec<u32>,
-    /// Sets with a nonzero entry in `set_counts`.
-    touched: Vec<u32>,
+    /// The parts of the line box being admitted whose lines earlier
+    /// regions already lock, for the LLC planners.
+    shared: Vec<Rect>,
 }
 
 impl PlanScratch {
@@ -148,81 +146,30 @@ pub trait RepairMechanism {
     fn max_ways_used(&self) -> u32;
 }
 
-/// Shared LLC-occupancy bookkeeping for the two cache-based mechanisms,
-/// stored struct-of-arrays: a flat slot plane (`max_ways` key slots per
-/// set) plus a parallel count plane, replacing the former global hash
-/// set. A line's key determines its set (the key *is* the line address
-/// above the offset bits), so per-set storage loses no dedup power, the
-/// admission check is a bounded linear scan over at most `max_ways`
-/// contiguous keys — no hashing, no probing — and rollback is O(touched
-/// sets): truncating each count plane entry un-inserts every fresh key at
-/// once.
+/// Shared LLC-occupancy bookkeeping for the two cache-based mechanisms: a
+/// count of locked lines per set, one byte each (8 KiB at 8192 sets, so
+/// the plane stays L1/L2-resident across trials), plus the admitted
+/// regions. No line key is stored. A line's key is an injective function
+/// of its coordinates — `(rank, device, bank, row, column-group)` for
+/// RelaxFault, `(rank, bank, row, column block)` for FreeFault — so two
+/// regions share a line exactly where their line boxes intersect, and
+/// admission needs each line's set, never its key
+/// ([`LineSpace::admit`]).
 #[derive(Debug, Clone)]
 struct LlcOccupancy {
     max_ways: u32,
     line_bytes: u64,
     sets: u64,
-    /// Key plane: `max_ways` contiguous slots per set; only the first
-    /// `counts[set]` are live (stale slots are never read).
-    slots: Vec<u64>,
-    /// Count plane: lines locked per set, one byte each (8 KiB at 8192
-    /// sets — the whole plane stays L1/L2-resident across trials).
+    /// Lines locked per set.
     counts: Vec<u8>,
-    /// Signature plane: a 64-bit bloom word per set, the OR of every live
-    /// key's [`key_sig`] bit. A candidate whose bit is absent is
-    /// *provably* fresh, so the dup scan is skipped — the common case for
-    /// large faults, whose candidates are internally distinct.
-    sig: Vec<u64>,
-    /// Pending-candidate planes for [`Self::offer`]: candidates buffer
-    /// here until [`BATCH`](Self::BATCH) accumulate, then the batch's
-    /// occupancy lines are prefetched together and drained in order. A
-    /// large fault touches sets all over the 1 MiB slot plane; issuing
-    /// the loads a batch ahead overlaps the misses instead of paying
-    /// each one serially. Admission order is unchanged, so verdicts and
-    /// committed state are bit-identical to unbatched processing.
-    batch_sets: Vec<u32>,
-    batch_keys: Vec<u64>,
-    /// Sets with a nonzero `counts` entry, for sparse reset/iteration.
+    /// Sets with a nonzero count, in the order they filled, for sparse
+    /// reset and rollback.
     dirty_sets: Vec<u32>,
+    /// Every admitted region, in admission order.
+    regions: Vec<FaultRegion>,
     /// Total lines locked (the sum of `counts`).
     line_count: u64,
     max_used: u32,
-}
-
-/// Admits one candidate into the occupancy planes (the per-candidate body
-/// of [`LlcOccupancy::admit_batch`], split out so the batch planes and the
-/// occupancy planes can be borrowed disjointly). Returns `false` when the
-/// set is already at the way limit.
-#[inline]
-fn admit_one(
-    stride: usize,
-    slots: &mut [u64],
-    counts: &mut [u8],
-    sig: &mut [u64],
-    set: u32,
-    key: u64,
-    scratch: &mut PlanScratch,
-) -> bool {
-    let si = set as usize;
-    let cnt = counts[si] as usize;
-    let base = si * stride;
-    let bit = LlcOccupancy::key_sig(key);
-    let s = sig[si];
-    if s & bit != 0 && slots[base..base + cnt].contains(&key) {
-        return true; // already repaired, or a duplicate candidate
-    }
-    if cnt == stride {
-        return false;
-    }
-    slots[base + cnt] = key;
-    counts[si] = (cnt + 1) as u8;
-    sig[si] = s | bit;
-    let fresh = &mut scratch.set_counts[si];
-    if *fresh == 0 {
-        scratch.touched.push(set);
-    }
-    *fresh += 1;
-    true
 }
 
 impl LlcOccupancy {
@@ -236,12 +183,9 @@ impl LlcOccupancy {
             max_ways,
             line_bytes: llc.line_bytes as u64,
             sets: llc.sets(),
-            slots: vec![0; llc.sets() as usize * max_ways as usize],
             counts: vec![0; llc.sets() as usize],
-            sig: vec![0; llc.sets() as usize],
-            batch_sets: Vec::with_capacity(Self::BATCH),
-            batch_keys: Vec::with_capacity(Self::BATCH),
             dirty_sets: Vec::new(),
+            regions: Vec::new(),
             line_count: 0,
             max_used: 0,
         }
@@ -250,9 +194,9 @@ impl LlcOccupancy {
     fn reset(&mut self) {
         for &s in &self.dirty_sets {
             self.counts[s as usize] = 0;
-            self.sig[s as usize] = 0;
         }
         self.dirty_sets.clear();
+        self.regions.clear();
         self.line_count = 0;
         self.max_used = 0;
     }
@@ -263,151 +207,25 @@ impl LlcOccupancy {
         self.sets * self.max_ways as u64
     }
 
-    /// One bloom bit per key for the per-set signature word. The multiply
-    /// spreads key bits so that within one set (where low key bits are
-    /// often constant) the chosen bit still varies.
+    /// Locks one fresh line in `set`. Returns `false`, changing nothing,
+    /// when the set is already at the way limit.
     #[inline]
-    fn key_sig(key: u64) -> u64 {
-        1u64 << (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
-    }
-
-    /// Opens an atomic add: candidates are streamed in via [`Self::offer`]
-    /// as the planner enumerates them (no materialized candidate list),
-    /// then [`Self::finish`] commits or rolls back. Either every new line
-    /// fits under the per-set way limit and all are committed, or nothing
-    /// changes. Whether *any* set overflows is independent of candidate
-    /// order, so the verdict — and the committed state — match an
-    /// exhaustive check exactly.
-    fn begin(&mut self, scratch: &mut PlanScratch) {
-        if scratch.set_counts.len() < self.sets as usize {
-            scratch.set_counts.resize(self.sets as usize, 0);
+    fn bump(&mut self, set: u32) -> bool {
+        let c = &mut self.counts[set as usize];
+        if u32::from(*c) == self.max_ways {
+            return false;
         }
-        debug_assert!(scratch.touched.is_empty());
-    }
-
-    /// Candidates buffered between prefetch-and-drain rounds. One round's
-    /// occupancy lines fit in L1 while giving the prefetcher enough
-    /// lookahead to overlap the whole round's misses.
-    const BATCH: usize = 64;
-
-    /// Offers one candidate line, buffering it for batched admission.
-    /// Each key is eventually checked against its set's live slots
-    /// (covering both already-locked lines and earlier candidates of
-    /// this call); fresh insertions bump the count plane directly.
-    /// Returns `false` when a set hit the way limit — the caller must
-    /// stop offering and [`Self::finish`] with `ok = false`, which also
-    /// spares enumerating the rest of the fault.
-    #[inline]
-    fn offer(&mut self, set: u32, key: u64, scratch: &mut PlanScratch) -> bool {
-        self.batch_sets.push(set);
-        self.batch_keys.push(key);
-        if self.batch_sets.len() == Self::BATCH {
-            self.admit_batch(scratch)
-        } else {
-            true
+        *c += 1;
+        if *c == 1 {
+            self.dirty_sets.push(set);
         }
-    }
-
-    /// Prefetches every buffered candidate's occupancy lines, then admits
-    /// the batch in offer order. Returns `false` on the first overfull
-    /// set (leaving that round partially admitted, exactly as unbatched
-    /// processing would — [`Self::finish`] rolls it back).
-    fn admit_batch(&mut self, scratch: &mut PlanScratch) -> bool {
-        let stride = self.max_ways as usize;
-        #[cfg(target_arch = "x86_64")]
-        for &set in &self.batch_sets {
-            let si = set as usize;
-            // Safety: prefetch is a hint — it never dereferences — and
-            // both indices are in bounds anyway (set < sets).
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(self.sig.as_ptr().add(si).cast(), _MM_HINT_T0);
-                _mm_prefetch(self.slots.as_ptr().add(si * stride).cast(), _MM_HINT_T0);
-            }
-        }
-        let mut ok = true;
-        let Self {
-            slots,
-            counts,
-            sig,
-            batch_sets,
-            batch_keys,
-            ..
-        } = self;
-        for (&set, &key) in batch_sets.iter().zip(batch_keys.iter()) {
-            if !admit_one(stride, slots, counts, sig, set, key, scratch) {
-                ok = false;
-                break;
-            }
-        }
-        batch_sets.clear();
-        batch_keys.clear();
-        ok
-    }
-
-    /// Closes the add opened by [`Self::begin`]: drains any buffered
-    /// candidates, then on `ok` commits the bookkeeping (dirty-set
-    /// tracking, line totals, high-water mark); otherwise rolls back by
-    /// subtracting the per-set fresh counts from the count plane — the
-    /// freshly written slots become stale without being touched. Always
-    /// leaves the scratch planes zeroed for reuse.
-    fn finish(&mut self, ok: bool, scratch: &mut PlanScratch) -> bool {
-        let ok = if ok {
-            self.admit_batch(scratch)
-        } else {
-            // Aborted mid-enumeration: the buffered tail was never
-            // admitted and must not survive into the next call.
-            self.batch_sets.clear();
-            self.batch_keys.clear();
-            ok
-        };
-        let stride = self.max_ways as usize;
-        if ok {
-            for &s in &scratch.touched {
-                let si = s as usize;
-                let fresh = scratch.set_counts[si];
-                let now = self.counts[si] as u32;
-                if now == fresh {
-                    self.dirty_sets.push(s);
-                }
-                self.max_used = self.max_used.max(now);
-                self.line_count += fresh as u64;
-            }
-        } else {
-            for &s in &scratch.touched {
-                let si = s as usize;
-                self.counts[si] -= scratch.set_counts[si] as u8;
-                // The slot plane needs no repair (stale tails are never
-                // read), but the signature word must drop the rolled-back
-                // keys' bits: rebuild it from the surviving slots.
-                let base = si * stride;
-                let mut sig = 0u64;
-                for &k in &self.slots[base..base + self.counts[si] as usize] {
-                    sig |= Self::key_sig(k);
-                }
-                self.sig[si] = sig;
-            }
-        }
-        for &s in &scratch.touched {
-            scratch.set_counts[s as usize] = 0;
-        }
-        scratch.touched.clear();
-        ok
+        self.max_used = self.max_used.max(u32::from(*c));
+        self.line_count += 1;
+        true
     }
 
     fn lines_used(&self) -> u64 {
         self.line_count
-    }
-
-    /// The keys of every locked line, in arbitrary order.
-    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        let stride = self.max_ways as usize;
-        self.dirty_sets.iter().flat_map(move |&s| {
-            let si = s as usize;
-            self.slots[si * stride..si * stride + self.counts[si] as usize]
-                .iter()
-                .copied()
-        })
     }
 
     /// `(set, lines locked)` for every occupied set, in arbitrary order.
@@ -417,76 +235,33 @@ impl LlcOccupancy {
             .map(|&s| (s, self.counts[s as usize] as u32))
     }
 
-    /// Verifies the occupancy bookkeeping against itself: the sparse
-    /// `dirty_sets` view, the count plane, the live slot plane, the line
-    /// total, and the `max_used` high-water mark must all tell the same
-    /// story. O(sets) — meant for tests and the `RF_CHECK=1` engine hook,
-    /// not the hot path.
-    fn check_invariants(&self) -> Result<(), String> {
-        let mut sum = 0u64;
-        let mut seen = FxHashSet::default();
-        let stride = self.max_ways as usize;
-        for &s in &self.dirty_sets {
-            if s as u64 >= self.sets {
-                return Err(format!("dirty set {s} out of range ({})", self.sets));
-            }
-            if !seen.insert(s) {
-                return Err(format!("set {s} appears twice in dirty_sets"));
-            }
-            let si = s as usize;
-            let c = self.counts[si] as u32;
-            if c == 0 {
-                return Err(format!("dirty set {s} has zero occupancy"));
-            }
-            if c > self.max_ways {
-                return Err(format!(
-                    "set {s} holds {c} lines, over the {}-way limit",
-                    self.max_ways
-                ));
-            }
-            let live = &self.slots[si * stride..si * stride + c as usize];
-            let mut keys: FxHashSet<u64> = FxHashSet::default();
-            let mut sig = 0u64;
-            for &k in live {
-                if !keys.insert(k) {
-                    return Err(format!("set {s} holds key {k:#x} twice"));
-                }
-                sig |= Self::key_sig(k);
-            }
-            if sig != self.sig[si] {
-                return Err(format!(
-                    "set {s} signature {:#x} disagrees with live slots ({sig:#x})",
-                    self.sig[si]
-                ));
-            }
-            sum += c as u64;
-        }
-        if sum != self.line_count {
+    /// Verifies the occupancy against `rebuilt`, its count plane
+    /// recomputed from the admitted regions: the counts, the way limit,
+    /// the line total, the `max_used` high-water mark (lines only
+    /// accumulate between resets) and the `dirty_sets` view must all
+    /// agree. O(sets) — for tests and the `RF_CHECK=1` engine hook.
+    fn check_against(&self, rebuilt: &[u32]) -> Result<(), String> {
+        let diff = (0..rebuilt.len()).find(|&s| rebuilt[s] != u32::from(self.counts[s]));
+        if let Some(s) = diff {
             return Err(format!(
-                "per-set occupancy sums to {sum} but {} lines are counted",
-                self.line_count
+                "set {s} counts {} lines but its admitted regions lock {}",
+                self.counts[s], rebuilt[s]
             ));
         }
-        for (si, &c) in self.counts.iter().enumerate() {
-            if c == 0 && self.sig[si] != 0 {
-                return Err(format!("empty set {si} has stale signature bits"));
-            }
-        }
-        let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
-        if nonzero != self.dirty_sets.len() {
+        let max = rebuilt.iter().copied().max().unwrap_or(0);
+        let sum: u64 = rebuilt.iter().map(|&c| u64::from(c)).sum();
+        if max > self.max_ways || max != self.max_used || sum != self.line_count {
             return Err(format!(
-                "{nonzero} sets occupied but only {} tracked dirty",
-                self.dirty_sets.len()
+                "admitted regions lock {sum} lines, {max} in the fullest set, against \
+                 {} lines counted, max_used {} and a {}-way limit",
+                self.line_count, self.max_used, self.max_ways
             ));
         }
-        // Lines only accumulate between resets, so the high-water mark must
-        // equal the current maximum exactly.
-        let max = self.counts.iter().copied().max().unwrap_or(0) as u32;
-        if self.max_used != max {
-            return Err(format!(
-                "max_used {} disagrees with per-set maximum {max}",
-                self.max_used
-            ));
+        let mut dirty = self.dirty_sets.clone();
+        dirty.sort_unstable();
+        let occupied = (0..).zip(rebuilt).filter(|&(_, &c)| c != 0).map(|(s, _)| s);
+        if !dirty.iter().copied().eq(occupied) {
+            return Err(format!("dirty_sets {dirty:?} are not the occupied sets"));
         }
         Ok(())
     }
@@ -567,6 +342,11 @@ trait LineLayout {
     /// Mechanism name for reports.
     const NAME: &'static str;
 
+    /// Whether a line holds one device's data, so that regions on two
+    /// devices of a rank never share a line (RelaxFault), rather than a
+    /// whole block of the rank (FreeFault).
+    const PER_DEVICE: bool;
+
     /// The mechanism's planner counters.
     fn metrics() -> &'static PlanMetrics;
 
@@ -584,6 +364,7 @@ trait LineLayout {
 /// device.
 impl LineLayout for RelaxMap {
     const NAME: &'static str = "RelaxFault";
+    const PER_DEVICE: bool = true;
 
     fn metrics() -> &'static PlanMetrics {
         relaxfault_metrics()
@@ -612,6 +393,7 @@ impl LineLayout for RelaxMap {
 /// spans every device of the rank, so the device plays no part.
 impl LineLayout for AddressMap {
     const NAME: &'static str = "FreeFault";
+    const PER_DEVICE: bool = false;
 
     fn metrics() -> &'static PlanMetrics {
         freefault_metrics()
@@ -641,15 +423,25 @@ impl LineLayout for AddressMap {
 /// Most aligned power-of-two blocks a `u32` index range splits into.
 const MAX_BLOCKS: usize = 64;
 
+/// The half-open index range `(start, end)` of `set`.
+fn bounds(set: IdxSet) -> (u64, u64) {
+    match set {
+        IdxSet::All { domain } => (0, domain as u64),
+        IdxSet::Range { start, count } => (start as u64, start as u64 + count as u64),
+        IdxSet::One(i) => (i as u64, i as u64 + 1),
+    }
+}
+
+/// Whether `b` covers row `row` of bank `bank`.
+fn covers_row(b: &Rect, bank: u32, row: u32) -> bool {
+    b.banks.0 >> bank & 1 != 0 && b.rows.contains(row)
+}
+
 /// Splits the index range of `set` into maximal aligned power-of-two
 /// blocks `(start, log2 length)`, in ascending order, and returns how
 /// many it wrote into `out`.
 fn aligned_blocks(set: IdxSet, out: &mut [(u32, u32); MAX_BLOCKS]) -> usize {
-    let (mut start, end) = match set {
-        IdxSet::All { domain } => (0, domain as u64),
-        IdxSet::Range { start, count } => (start as u64, start as u64 + count as u64),
-        IdxSet::One(i) => (i as u64, i as u64 + 1),
-    };
+    let (mut start, end) = bounds(set);
     let mut n = 0;
     while start < end {
         let k = start
@@ -690,38 +482,53 @@ impl<L: LineLayout> LineSpace<L> {
         }
     }
 
-    /// Analytic count of repair lines a fault would need in isolation.
-    fn lines_needed(&self, regions: &[FaultRegion]) -> u64 {
-        regions
-            .iter()
-            .map(|r| {
-                let rect = r.footprint(&self.dram);
-                rect.banks.len() as u64 * rect.rows.len() * self.layout.cols(&rect).len()
-            })
-            .sum()
+    /// A region's repair lines as a box: its banks and rows, with the
+    /// layout's column indices (column-groups for RelaxFault) in
+    /// `colblocks`.
+    fn line_box(&self, r: &FaultRegion) -> Rect {
+        let rect = r.footprint(&self.dram);
+        Rect {
+            colblocks: self.layout.cols(&rect),
+            ..rect
+        }
     }
 
-    /// Streams the `(set, key)` of every repair line of `regions` into
-    /// `f`, in enumeration order: one full address per (region, bank),
-    /// then two XORs per line. Stops early — returning `false` — as soon
-    /// as `f` does, so a consumer that has already decided the fault is
-    /// unrepairable never pays for the rest of the footprint.
-    fn lines_each(&self, regions: &[FaultRegion], f: &mut impl FnMut(u32, u64) -> bool) -> bool {
+    /// Analytic count of repair lines a fault would need in isolation.
+    fn lines_needed(&self, regions: &[FaultRegion]) -> u64 {
+        regions.iter().map(|r| self.line_box(r).block_count()).sum()
+    }
+
+    /// Streams the `(set, key)` of every line in `r`'s line box `lines`
+    /// that lies in no box of `shared` into `f`, in enumeration order: one
+    /// full address per bank, then two XORs per line. Stops early —
+    /// returning `false` — as soon as `f` does.
+    fn lines_each(
+        &self,
+        r: &FaultRegion,
+        lines: &Rect,
+        shared: &[Rect],
+        f: &mut impl FnMut(u32, u64) -> bool,
+    ) -> bool {
         let off = self.llc.offset_bits();
-        for r in regions {
-            let rect = r.footprint(&self.dram);
-            let cols = self.layout.cols(&rect);
-            for bank in rect.banks.iter() {
-                let base = self.layout.addr(r.rank, r.device, bank, 0, 0);
-                let set_base = self.llc.set_of(base);
-                for row in rect.rows.iter() {
-                    let (ra, rs) = self.deltas.row(row);
-                    let (row_addr, row_set) = (base ^ ra, set_base ^ rs);
-                    for col in cols.iter() {
-                        let (ca, cs) = self.deltas.col(col as usize);
-                        if !f((row_set ^ cs) as u32, (row_addr ^ ca) >> off) {
-                            return false;
-                        }
+        let (c0, c1) = bounds(lines.colblocks);
+        let cols = c0 as usize..c1 as usize;
+        let col_deltas = self.deltas.col_addr[cols.clone()]
+            .iter()
+            .zip(&self.deltas.col_set[cols]);
+        for bank in lines.banks.iter() {
+            let base = self.layout.addr(r.rank, r.device, bank, 0, 0);
+            let set_base = self.llc.set_of(base);
+            for row in lines.rows.iter() {
+                let (ra, rs) = self.deltas.row(row);
+                let (row_addr, row_set) = (base ^ ra, set_base ^ rs);
+                let row_shared = shared.iter().any(|s| covers_row(s, bank, row));
+                for (col, (&ca, &cs)) in (c0 as u32..).zip(col_deltas.clone()) {
+                    let locked = row_shared
+                        && shared
+                            .iter()
+                            .any(|s| covers_row(s, bank, row) && s.colblocks.contains(col));
+                    if !locked && !f((row_set ^ cs) as u32, (row_addr ^ ca) >> off) {
+                        return false;
                     }
                 }
             }
@@ -729,19 +536,97 @@ impl<L: LineLayout> LineSpace<L> {
         true
     }
 
-    /// Admits `regions` into `occ` by enumeration, as one atomic add. The
-    /// lines stream straight into the occupancy — no candidate list is
-    /// materialized — and a conflicting fault stops enumerating at its
-    /// first overfull set.
+    /// Streams the `(set, key)` of every line of every region into `f`; a
+    /// line that several regions share comes once per region.
+    fn region_lines_each(&self, regions: &[FaultRegion], f: &mut impl FnMut(u32, u64)) {
+        for r in regions {
+            self.lines_each(r, &self.line_box(r), &[], &mut |set, key| {
+                f(set, key);
+                true
+            });
+        }
+    }
+
+    /// Collects into `shared` the parts of `r`'s line box `lines` whose
+    /// lines one of `earlier` already locks: its intersections with the
+    /// line boxes of the earlier regions on the same rank (and, for
+    /// RelaxFault, the same device).
+    fn shared_parts(
+        &self,
+        r: &FaultRegion,
+        lines: &Rect,
+        earlier: &[FaultRegion],
+        shared: &mut Vec<Rect>,
+    ) {
+        shared.clear();
+        for e in earlier {
+            if e.rank == r.rank && (!L::PER_DEVICE || e.device == r.device) {
+                shared.extend(self.line_box(e).intersect(lines));
+            }
+        }
+    }
+
+    /// Admits `regions` into `occ` by enumeration, as one atomic add. Each
+    /// region's lines bump their sets' counts, except the lines that an
+    /// admitted region or an earlier region of this offer already locks.
+    /// The first set that would go over the way limit stops the
+    /// enumeration, and the offer is rolled back: the same lines are
+    /// walked again in the same order, each bumped set is decremented, and
+    /// the region list, `dirty_sets` (whose tail is exactly the sets the
+    /// offer filled), line total and `max_used` return to their lengths
+    /// and values before the offer.
     fn admit(
         &self,
         occ: &mut LlcOccupancy,
         regions: &[FaultRegion],
         scratch: &mut PlanScratch,
     ) -> bool {
-        occ.begin(scratch);
-        let all = self.lines_each(regions, &mut |set, key| occ.offer(set, key, scratch));
-        occ.finish(all, scratch)
+        let (regions0, dirty0) = (occ.regions.len(), occ.dirty_sets.len());
+        let (lines0, max0) = (occ.line_count, occ.max_used);
+        for r in regions {
+            let lines = self.line_box(r);
+            self.shared_parts(r, &lines, &occ.regions, &mut scratch.shared);
+            let ok = self.lines_each(r, &lines, &scratch.shared, &mut |set, _| occ.bump(set));
+            occ.regions.push(*r);
+            if ok {
+                continue;
+            }
+            let mut left = occ.line_count - lines0;
+            for (i, r) in regions.iter().enumerate() {
+                if left == 0 {
+                    break;
+                }
+                let lines = self.line_box(r);
+                let earlier = &occ.regions[..regions0 + i];
+                self.shared_parts(r, &lines, earlier, &mut scratch.shared);
+                let counts = &mut occ.counts;
+                self.lines_each(r, &lines, &scratch.shared, &mut |set, _| {
+                    counts[set as usize] -= 1;
+                    left -= 1;
+                    left > 0
+                });
+            }
+            occ.regions.truncate(regions0);
+            occ.dirty_sets.truncate(dirty0);
+            (occ.line_count, occ.max_used) = (lines0, max0);
+            return false;
+        }
+        true
+    }
+
+    /// Verifies `occ` against its admitted regions: rebuilds the count
+    /// plane by enumerating every region's line keys, counting each
+    /// distinct key once in its set, and compares it with the live plane
+    /// ([`LlcOccupancy::check_against`]).
+    fn check_occupancy(&self, occ: &LlcOccupancy) -> Result<(), String> {
+        let mut keys = FxHashSet::default();
+        let mut rebuilt = vec![0u32; occ.sets as usize];
+        self.region_lines_each(&occ.regions, &mut |set, key| {
+            if keys.insert(key) {
+                rebuilt[set as usize] += 1;
+            }
+        });
+        occ.check_against(&rebuilt)
     }
 
     /// The closed form: how many lines the fullest LLC set would hold if
@@ -831,7 +716,7 @@ struct Pending {
 }
 
 impl Pending {
-    /// Writes the fault into `occ` by enumeration, leaving the planes
+    /// Writes the fault into `occ` by enumeration, leaving the occupancy
     /// exactly as admitting it by enumeration on arrival would have.
     ///
     /// # Errors
@@ -958,9 +843,15 @@ impl<L: LineLayout> LlcPlanner<L> {
             .max(self.pending.map_or(0, |p| p.max_ways))
     }
 
+    /// The distinct keys of the admitted regions' lines, ascending.
     fn line_keys(&mut self) -> impl Iterator<Item = u64> + '_ {
         self.materialize(&mut PlanScratch::new());
-        self.occ.keys()
+        let mut keys = Vec::new();
+        self.space
+            .region_lines_each(&self.occ.regions, &mut |_, key| keys.push(key));
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter()
     }
 
     fn occupied_sets(&mut self) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -968,12 +859,13 @@ impl<L: LineLayout> LlcPlanner<L> {
         self.occ.occupied()
     }
 
-    /// Verifies the occupancy bookkeeping. A pending fault is written out
+    /// Verifies the occupancy bookkeeping against the admitted regions
+    /// ([`LineSpace::check_occupancy`]). A pending fault is written out
     /// into a copy first, whose enumerated line count and fullest set must
     /// equal the closed form's.
     fn check_invariants(&self) -> Result<(), String> {
         let Some(p) = self.pending else {
-            return self.occ.check_invariants();
+            return self.space.check_occupancy(&self.occ);
         };
         if self.occ.lines_used() != 0 {
             return Err(format!(
@@ -984,7 +876,7 @@ impl<L: LineLayout> LlcPlanner<L> {
         }
         let mut occ = self.occ.clone();
         p.write_out(&self.space, &mut occ, &mut PlanScratch::new())?;
-        occ.check_invariants()
+        self.space.check_occupancy(&occ)
     }
 
     /// Every repair line of `regions`, as `(set, key)` in enumeration
@@ -993,10 +885,8 @@ impl<L: LineLayout> LlcPlanner<L> {
     #[cfg(test)]
     fn lines_of(&self, regions: &[FaultRegion]) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        self.space.lines_each(regions, &mut |set, key| {
-            out.push((set as u64, key));
-            true
-        });
+        self.space
+            .region_lines_each(regions, &mut |set, key| out.push((set as u64, key)));
         out
     }
 }
@@ -1032,9 +922,10 @@ impl RelaxFault {
         &self.planner.space.layout
     }
 
-    /// The keys of every locked repair line, in arbitrary order: a view
-    /// for differential oracles and regression tests. Writes out a pending
-    /// closed-form admission first.
+    /// The keys of every locked repair line, in arbitrary order,
+    /// enumerated from the admitted regions: a view for differential
+    /// oracles and regression tests. Writes out a pending closed-form
+    /// admission first.
     pub fn line_keys(&mut self) -> impl Iterator<Item = u64> + '_ {
         self.planner.line_keys()
     }
@@ -1141,8 +1032,9 @@ impl FreeFault {
         self.planner.space.lines_needed(regions)
     }
 
-    /// The keys of every locked repair line, in arbitrary order. Writes
-    /// out a pending closed-form admission first.
+    /// The keys of every locked repair line, in arbitrary order,
+    /// enumerated from the admitted regions. Writes out a pending
+    /// closed-form admission first.
     pub fn line_keys(&mut self) -> impl Iterator<Item = u64> + '_ {
         self.planner.line_keys()
     }
@@ -1544,15 +1436,22 @@ mod tests {
 
     #[test]
     fn try_add_rollback_restores_exact_pre_offer_state() {
-        // Audit pin for the rollback path: a rejected repair whose
-        // candidate list *overlaps* already-locked lines must remove only
-        // the lines it freshly inserted before aborting — the overlap was
-        // skipped by the duplicate filter and must survive. Canonical
-        // indexing makes the collision deterministic: same row on two
-        // devices lands set-for-set on the same sets.
+        // Audit pin for the rollback path: a rejected repair must remove
+        // exactly the lines it freshly locked before aborting. The lines
+        // it skipped as shared, with an admitted region or an earlier
+        // region of the same offer, must survive. Canonical indexing
+        // makes the collision deterministic: the same row on two devices
+        // lands set for set on the same sets.
         let unhashed = CacheConfig::isca16_llc_no_hash();
         let mut rf = RelaxFault::new(&dram(), &unhashed, 1);
         let first = region(Extent::Row { bank: 0, row: 5 });
+        let collides = FaultRegion { device: 9, ..first };
+        let fresh = region(Extent::Row { bank: 2, row: 8 });
+        let inside = region(Extent::Bit {
+            bank: 0,
+            row: 5,
+            col: 300,
+        });
         assert!(rf.try_repair(&[first]));
         let mut keys_before: Vec<u64> = rf.line_keys().collect();
         keys_before.sort_unstable();
@@ -1560,58 +1459,57 @@ mod tests {
         sets_before.sort_unstable();
         rf.check_invariants().unwrap();
 
-        // One fault spanning the already-repaired row (duplicates) and a
-        // colliding row on another device (fresh lines that overflow the
-        // 1-way budget): must be rejected wholesale.
-        let conflict = [
-            first,
-            FaultRegion {
-                rank: rank0(),
-                device: 9,
-                extent: Extent::Row { bank: 0, row: 5 },
-            },
-        ];
-        for _ in 0..3 {
-            // Repeated offers must keep failing without eroding state.
-            assert!(!rf.try_repair(&conflict));
-            let mut keys_after: Vec<u64> = rf.line_keys().collect();
-            keys_after.sort_unstable();
-            assert_eq!(keys_after, keys_before, "rollback leaked or dropped lines");
-            let mut sets_after: Vec<(u32, u32)> = rf.occupied_sets().collect();
-            sets_after.sort_unstable();
-            assert_eq!(sets_after, sets_before, "rollback disturbed occupancy");
-            assert_eq!(rf.max_ways_used(), 1);
-            rf.check_invariants().unwrap();
+        // The second conflict locks 16 fresh lines, then skips the lines
+        // the admitted row and its own first region lock, then overflows.
+        for conflict in [&[first, collides][..], &[fresh, inside, fresh, collides]] {
+            for _ in 0..3 {
+                // Repeated offers must keep failing without eroding state.
+                assert!(!rf.try_repair(conflict));
+                let mut keys_after: Vec<u64> = rf.line_keys().collect();
+                keys_after.sort_unstable();
+                assert_eq!(keys_after, keys_before, "rollback leaked or dropped lines");
+                let mut sets_after: Vec<(u32, u32)> = rf.occupied_sets().collect();
+                sets_after.sort_unstable();
+                assert_eq!(sets_after, sets_before, "rollback disturbed occupancy");
+                assert_eq!((rf.lines_used(), rf.max_ways_used()), (16, 1));
+                rf.check_invariants().unwrap();
+            }
         }
-        // The planner still accepts an unrelated repair afterwards.
-        assert!(rf.try_repair(&[region(Extent::Row { bank: 1, row: 6 })]));
+        // The planner still accepts the offer without its conflict.
+        assert!(rf.try_repair(&[fresh, inside, fresh]));
         rf.check_invariants().unwrap();
         assert_eq!(rf.lines_used(), 32);
     }
 
     #[test]
-    fn try_add_rollback_scratch_is_clean_for_reuse() {
-        // The scratch buffers double as rollback state; a rejection must
-        // zero them so the *next* call (any planner) starts clean.
-        let unhashed = CacheConfig::isca16_llc_no_hash();
-        let mut rf = RelaxFault::new(&dram(), &unhashed, 1);
-        let mut scratch = PlanScratch::new();
-        let a = region(Extent::Row { bank: 0, row: 5 });
-        let b = FaultRegion {
+    fn regions_share_lines_where_their_line_boxes_meet() {
+        let bit = |device, col| FaultRegion {
             rank: rank0(),
-            device: 9,
-            extent: Extent::Row { bank: 0, row: 5 },
+            device,
+            extent: Extent::Bit {
+                bank: 4,
+                row: 9,
+                col,
+            },
         };
-        assert!(rf.try_repair_with(&[a], &mut scratch));
-        assert!(!rf.try_repair_with(&[b], &mut scratch));
-        assert!(scratch.touched.is_empty(), "touched not cleared on reject");
-        assert!(
-            scratch.set_counts.iter().all(|&c| c == 0),
-            "set_counts not zeroed on reject"
-        );
-        // Same scratch drives a fresh planner correctly afterwards.
-        let mut ff = FreeFault::new(&dram(), &unhashed, 16);
-        assert!(ff.try_repair_with(&[b], &mut scratch));
+        // Columns 0 and 8 are column blocks 0 and 1 of column-group 0: one
+        // RelaxFault line, two FreeFault blocks.
+        let mut rf = RelaxFault::new(&dram(), &llc(), 1);
+        assert!(rf.try_repair(&[bit(3, 0), bit(3, 8)]));
+        assert_eq!(rf.lines_used(), 1);
+        // Another device's line is its own under RelaxFault, while
+        // FreeFault's block spans the rank.
+        assert!(rf.try_repair(&[bit(5, 0)]));
+        assert_eq!(rf.lines_used(), 2);
+        let mut ff = FreeFault::new(&dram(), &llc(), 1);
+        assert!(ff.try_repair(&[bit(3, 0), bit(3, 8), bit(5, 0)]));
+        assert_eq!(ff.lines_used(), 2);
+        // A row offered with a bit inside it, in one offer, costs the row.
+        let mut rf = RelaxFault::new(&dram(), &llc(), 1);
+        let row = region(Extent::Row { bank: 4, row: 9 });
+        assert!(rf.try_repair(&[row, bit(3, 2047), row]));
+        assert_eq!(rf.lines_used(), 16);
+        rf.check_invariants().unwrap();
         ff.check_invariants().unwrap();
     }
 

@@ -9,7 +9,7 @@
 //! generated cases reach states a million uniform ones would miss.
 
 use relaxfault_dram::{DramConfig, RankId};
-use relaxfault_faults::{BankSet, Extent, FaultRegion};
+use relaxfault_faults::{BankSet, Extent, FaultRegion, IdxSet};
 use relaxfault_util::prop::Source;
 
 /// A fault extent biased toward planner corner regions: multi-row
@@ -89,23 +89,111 @@ pub fn arb_corner_region(src: &mut Source, cfg: &DramConfig) -> FaultRegion {
     }
 }
 
-/// A sequence of fault offers (each one fault = one or two regions, as
-/// multi-rank faults produce) to drive a planner through, shrinking toward
-/// fewer and simpler offers.
+/// A sequence of fault offers to drive a planner through, shrinking toward
+/// fewer and simpler offers. Most offers are one fresh corner-biased
+/// region. Some carry a sibling region on another rank slot of the node,
+/// as multi-rank faults do, so the planner admits two regions atomically.
+/// Some land on an earlier offer's rank and bank with overlapping rows and
+/// columns ([`arb_overlapping_region`]), where the planners share lines or
+/// collide set for set; independent draws of rank, device and bank would
+/// almost never meet there. And some hold two such regions, so the
+/// planner also shares lines within one offer.
 pub fn arb_offer_sequence(src: &mut Source, cfg: &DramConfig) -> Vec<Vec<FaultRegion>> {
-    src.vec(1, 6, |s| {
-        let first = arb_corner_region(s, cfg);
-        if s.weighted(&[5, 1]) == 1 {
-            // A sibling region on another rank of the same coordinates,
-            // like a multi-rank DIMM fault.
-            let mut sibling = first;
-            sibling.rank.rank = (sibling.rank.rank + 1) % cfg.ranks_per_dimm.max(1);
-            if sibling.rank != first.rank {
-                return vec![first, sibling];
+    let len = src.usize(1, 6);
+    let mut offers: Vec<Vec<FaultRegion>> = Vec::with_capacity(len);
+    for _ in 0..len {
+        let offer = match src.weighted(&[5, 1, 3, 1]) {
+            1 if cfg.total_rank_slots() > 1 => {
+                let first = arb_corner_region(src, cfg);
+                let slots = cfg.total_rank_slots();
+                let flat = (first.rank.flat_index(cfg) + src.u32(1, slots - 1)) % slots;
+                let sibling = FaultRegion {
+                    rank: RankId::from_flat_index(cfg, flat),
+                    ..first
+                };
+                vec![first, sibling]
+            }
+            2 if !offers.is_empty() => {
+                let earlier = offers[src.usize(0, offers.len() - 1)][0];
+                vec![arb_overlapping_region(src, cfg, &earlier)]
+            }
+            3 => {
+                let first = arb_corner_region(src, cfg);
+                vec![first, arb_overlapping_region(src, cfg, &first)]
+            }
+            _ => vec![arb_corner_region(src, cfg)],
+        };
+        offers.push(offer);
+    }
+    offers
+}
+
+/// A region on `earlier`'s rank and in one of its banks whose rows and
+/// columns overlap `earlier`'s footprint, in one of three kinds:
+///
+/// 0. on the same device, where RelaxFault shares lines with `earlier`;
+/// 1. on another device, where FreeFault shares lines, and RelaxFault's
+///    lines fall in the same sets under unhashed indexing;
+/// 2. on the same device, in another column block of a column-group that
+///    `earlier` covers, where RelaxFault shares that group's line even
+///    when the two footprints do not meet.
+pub fn arb_overlapping_region(
+    src: &mut Source,
+    cfg: &DramConfig,
+    earlier: &FaultRegion,
+) -> FaultRegion {
+    let rect = earlier.footprint(cfg);
+    let banks: Vec<u32> = rect.banks.iter().collect();
+    let bank = banks[src.usize(0, banks.len() - 1)];
+    let pick = |src: &mut Source, set: IdxSet| {
+        let first = set.iter().next().unwrap_or(0);
+        first + src.u32(0, set.len() as u32 - 1)
+    };
+    let row = pick(src, rect.rows);
+    let mut colblock = pick(src, rect.colblocks);
+    let mut device = earlier.device;
+    let kind = src.weighted(&[1, 1, 1]);
+    match kind {
+        0 => {}
+        1 => device = (device + src.u32(1, cfg.devices_per_rank() - 1)) % cfg.devices_per_rank(),
+        _ => {
+            let group = cfg.data_devices_per_rank;
+            let shift = src.u32(1, group - 1);
+            colblock = colblock / group * group + (colblock % group + shift) % group;
+        }
+    }
+    let col = colblock * cfg.burst_length + src.u32(0, cfg.burst_length - 1);
+    // The third kind keeps to one column block (a bit or a column).
+    let shape = if kind == 2 {
+        2 * src.choice_index(2)
+    } else {
+        src.weighted(&[3, 2, 2, 2])
+    };
+    let extent = match shape {
+        0 => Extent::Bit { bank, row, col },
+        1 => Extent::Row { bank, row },
+        2 => Extent::Column {
+            bank,
+            col,
+            row_start: row / cfg.subarray_rows * cfg.subarray_rows,
+            row_count: cfg.subarray_rows,
+        },
+        _ => {
+            let rows = src.u32(2, 256);
+            Extent::RowCluster {
+                bank,
+                row_start: row
+                    .saturating_sub(src.u32(0, rows - 1))
+                    .min(cfg.rows - rows),
+                row_count: rows,
             }
         }
-        vec![first]
-    })
+    };
+    FaultRegion {
+        rank: earlier.rank,
+        device,
+        extent,
+    }
 }
 
 /// A per-set way limit, biased low (tight budgets exercise rejection and
@@ -131,6 +219,53 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// Over 1,000 sequences, counts the offers that reach each path of the
+    /// LLC planners' admission: two regions on two ranks or on one rank,
+    /// and a region meeting an earlier one (of an earlier offer or the
+    /// same offer) on the same device, on another device, or only within
+    /// a shared column-group.
+    #[test]
+    fn offer_sequences_reach_every_sharing_kind() {
+        let cfg = DramConfig::isca16_reliability();
+        let groups = |r: &FaultRegion| {
+            r.footprint(&cfg)
+                .colblocks
+                .divided(cfg.data_devices_per_rank)
+        };
+        let mut kinds = [0u32; 5];
+        relaxfault_util::prop::check(1000, |src| {
+            let offers = arb_offer_sequence(src, &cfg);
+            let regions: Vec<FaultRegion> = offers.iter().flatten().copied().collect();
+            for offer in &offers {
+                if let [a, b] = offer[..] {
+                    kinds[usize::from(a.rank == b.rank)] += 1;
+                }
+            }
+            for (i, r) in regions.iter().enumerate() {
+                let fr = r.footprint(&cfg);
+                for e in &regions[..i] {
+                    let fe = e.footprint(&cfg);
+                    if e.rank != r.rank
+                        || fe.banks.intersect(&fr.banks).is_empty()
+                        || fe.rows.intersect(&fr.rows).is_none()
+                    {
+                        continue;
+                    }
+                    if fe.colblocks.intersect(&fr.colblocks).is_some() {
+                        kinds[if e.device == r.device { 2 } else { 3 }] += 1;
+                    } else if e.device == r.device && groups(e).intersect(&groups(r)).is_some() {
+                        kinds[4] += 1;
+                    }
+                }
+            }
+            Ok(())
+        });
+        eprintln!(
+            "two ranks, one rank, same device, other device, same column-group only: {kinds:?}"
+        );
+        assert!(kinds.iter().all(|&k| k >= 50), "offer kinds: {kinds:?}");
     }
 
     #[test]

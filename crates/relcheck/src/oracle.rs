@@ -7,9 +7,10 @@
 //!
 //! * candidate enumeration — direct per-line [`RelaxMap`] /
 //!   [`AddressMap`] encoding, no XOR-delta tables;
-//! * LLC occupancy — `BTreeMap`/`BTreeSet` with a two-pass
-//!   check-then-commit, no rollback needed, instead of the one-pass
-//!   insert-and-roll-back hash path;
+//! * LLC occupancy — a `BTreeSet` of line keys and a `BTreeMap` of
+//!   per-set counts with a two-pass check-then-commit, no rollback
+//!   needed, instead of the production count plane that dedups lines by
+//!   their coordinates and rolls a rejected offer back by re-walking it;
 //! * trial evaluation — freshly allocated state per call, no scratch
 //!   reuse, no planner caching;
 //! * the whole engine — a single-threaded trial loop with no zero-fault
@@ -52,7 +53,8 @@ pub struct NaiveOccupancy {
 }
 
 impl NaiveOccupancy {
-    /// Mirrors `LlcOccupancy::new`.
+    /// An empty occupancy of `llc` with at most `max_ways` lines per set,
+    /// asserting the way-limit range the production planners assert.
     pub fn new(llc: &CacheConfig, max_ways: u32) -> Self {
         assert!(max_ways >= 1 && max_ways <= llc.ways);
         Self {

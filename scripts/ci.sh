@@ -59,6 +59,24 @@ cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/relchec
     || exit 3
 cargo run --release -q -p relaxfault-relcheck --bin relcheck -- replay "$repro" \
     || exit 3
+# The forced failure fires at trial 0, before any planning. So the Figs
+# 10-14 population also runs to completion with every per-trial check on
+# (each planner key, the 16-way ones included, at 1x and 10x FIT), and its
+# 30 table files must equal those of an unchecked run byte for byte.
+rm -rf results/ci/rf_check results/ci/rf_plain
+RF_CHECK=1 RF_RESULTS_DIR=results/ci/rf_check \
+    cargo run --release -q -p relaxfault-bench --bin fig10_14_reliability -- 20000 >/dev/null \
+    || exit 3
+RF_RESULTS_DIR=results/ci/rf_plain \
+    cargo run --release -q -p relaxfault-bench --bin fig10_14_reliability -- 20000 >/dev/null \
+    || exit 3
+tables=(results/ci/rf_plain/fig1*.{txt,csv,json})
+[ "${#tables[@]}" -eq 30 ] \
+    || { echo "relcheck: expected 30 Figs 10-14 tables, found ${#tables[@]}" >&2; exit 3; }
+for t in "${tables[@]}"; do
+    cmp -s "$t" "results/ci/rf_check/${t##*/}" \
+        || { echo "relcheck: RF_CHECK run changed ${t##*/}" >&2; exit 3; }
+done
 
 # Thread-matrix gate: which worker runs a trial must never change its
 # result. One pinned scenario mix is digested at 1, 2 and 4 threads; all
