@@ -390,7 +390,7 @@ fn reliability_level(fit_scale: f64, cuts: [u64; 4]) -> [Table; 5] {
     curves.insert(3, wide.remove(0));
     curves.append(&mut wide);
     [
-        coverage_table(&mut curves),
+        coverage_table(&curves),
         matrix_table(&at12[..6], |r| r.dues_per_system(SYSTEM_NODES)),
         matrix_table(&at13[..6], |r| r.sdcs_per_system(SYSTEM_NODES)),
         matrix_table(&at14[..6], |r| r.replacements_per_system(SYSTEM_NODES)),
@@ -400,7 +400,7 @@ fn reliability_level(fit_scale: f64, cuts: [u64; 4]) -> [Table; 5] {
 
 /// Figures 10/11: cumulative repair coverage vs required LLC capacity,
 /// one column per arm.
-fn coverage_table(results: &mut [ScenarioResult]) -> Table {
+fn coverage_table(results: &[ScenarioResult]) -> Table {
     // 64 B (one line), then 16 KiB to 2 MiB.
     let kib = [16, 32, 64, 82, 128, 192, 256, 512, 1024, 2048];
     let caps = std::iter::once(64).chain(kib.map(|k: u64| k << 10));
@@ -409,7 +409,7 @@ fn coverage_table(results: &mut [ScenarioResult]) -> Table {
     let mut t = Table::new(&headers);
     for cap in caps {
         let mut row = vec![format_bytes(cap)];
-        for r in results.iter_mut() {
+        for r in results {
             // PPR uses no LLC: its coverage is flat.
             let v = if r.label == "PPR" {
                 r.coverage()

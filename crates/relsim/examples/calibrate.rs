@@ -43,7 +43,7 @@ fn main() {
         "FF-16way       (paper ~93)",
     ];
     let t0 = std::time::Instant::now();
-    let mut results = run_scenarios(
+    let results = run_scenarios(
         &arms,
         &RunConfig {
             trials,
@@ -58,7 +58,7 @@ fn main() {
         t0.elapsed(),
         results[0].faulty_nodes
     );
-    for (name, r) in names.iter().zip(results.iter_mut()) {
+    for (name, r) in names.iter().zip(&results) {
         let cov = r.coverage() * 100.0;
         let b90 = r
             .bytes_for_coverage(0.90)

@@ -68,7 +68,8 @@ pub struct ScenarioResult {
     pub faulty_nodes: u64,
     /// Faulty nodes whose every permanent fault was repaired.
     pub fully_repaired_nodes: u64,
-    /// Repair bytes of each fully repaired faulty node.
+    /// Repair bytes of the fully repaired faulty nodes, as a count per
+    /// distinct size.
     pub repair_bytes: Ecdf,
     /// Total DUEs across trials.
     pub dues: u64,
@@ -145,7 +146,7 @@ impl ScenarioResult {
 
     /// Coverage if the LLC budget is additionally capped at `bytes`
     /// (the y-value of Figures 10/11 at one x).
-    pub fn coverage_at_bytes(&mut self, bytes: u64) -> f64 {
+    pub fn coverage_at_bytes(&self, bytes: u64) -> f64 {
         if self.faulty_nodes == 0 {
             return 0.0;
         }
@@ -156,7 +157,7 @@ impl ScenarioResult {
 
     /// The LLC budget needed to reach a given fraction of the faulty nodes
     /// (e.g. the paper's "90% of nodes with at most 82 KiB").
-    pub fn bytes_for_coverage(&mut self, target: f64) -> Option<u64> {
+    pub fn bytes_for_coverage(&self, target: f64) -> Option<u64> {
         if self.coverage() < target || self.repair_bytes.is_empty() {
             return None;
         }
@@ -197,41 +198,45 @@ fn fresh_results(scenarios: &[Scenario]) -> Vec<ScenarioResult> {
 }
 
 /// Observability handles for the Monte Carlo hot loop, resolved once so
-/// per-trial updates are a relaxed load and a branch when disabled.
+/// per-trial updates are a relaxed load and a branch when disabled. Only
+/// what a `ScenarioResult` does not record is counted per trial; the
+/// outcome counters come from the merged results ([`publish_outcomes`]).
 struct EngineMetrics {
-    trial_evals: Counter,
     fast_path_skips: Counter,
-    faulty_nodes: Counter,
-    fully_repaired_nodes: Counter,
-    repair_fallback_nodes: Counter,
-    dues: Counter,
-    transient_dues: Counter,
-    sdcs: Counter,
-    replacements: Counter,
-    permanent_faults: Counter,
-    unrepaired_faults: Counter,
-    unrepaired_by_mode: [Counter; 6],
     trial_ns: Histogram,
 }
 
 fn engine_metrics() -> &'static EngineMetrics {
     static METRICS: OnceLock<EngineMetrics> = OnceLock::new();
     METRICS.get_or_init(|| EngineMetrics {
-        trial_evals: obs::counter("relsim.trial_evals"),
         fast_path_skips: obs::counter("relsim.fast_path_skips"),
-        faulty_nodes: obs::counter("relsim.faulty_nodes"),
-        fully_repaired_nodes: obs::counter("relsim.fully_repaired_nodes"),
-        repair_fallback_nodes: obs::counter("relsim.repair_fallback_nodes"),
-        dues: obs::counter("relsim.dues"),
-        transient_dues: obs::counter("relsim.transient_dues"),
-        sdcs: obs::counter("relsim.sdcs"),
-        replacements: obs::counter("relsim.replacements"),
-        permanent_faults: obs::counter("relsim.permanent_faults"),
-        unrepaired_faults: obs::counter("relsim.unrepaired_faults"),
-        unrepaired_by_mode: FaultMode::ALL
-            .map(|m| obs::counter(&format!("relsim.unrepaired.{}", m.key()))),
         trial_ns: obs::histogram("relsim.trial_ns"),
     })
+}
+
+/// Adds a finished run's outcome totals, summed over arms, to the
+/// `relsim.*` outcome counters. Called once per run with its last cut,
+/// which holds every trial.
+fn publish_outcomes(results: &[ScenarioResult]) {
+    let publish = |name: &str, field: &dyn Fn(&ScenarioResult) -> u64| {
+        obs::counter(name).add(results.iter().map(field).sum());
+    };
+    publish("relsim.trial_evals", &|r| r.trials);
+    publish("relsim.faulty_nodes", &|r| r.faulty_nodes);
+    publish("relsim.fully_repaired_nodes", &|r| r.fully_repaired_nodes);
+    publish("relsim.repair_fallback_nodes", &|r| {
+        r.faulty_nodes - r.fully_repaired_nodes
+    });
+    publish("relsim.dues", &|r| r.dues);
+    publish("relsim.transient_dues", &|r| r.transient_dues);
+    publish("relsim.sdcs", &|r| r.sdcs);
+    publish("relsim.replacements", &|r| r.replacements);
+    publish("relsim.permanent_faults", &|r| r.permanent_faults);
+    publish("relsim.unrepaired_faults", &|r| r.unrepaired_faults);
+    for (i, mode) in FaultMode::ALL.iter().enumerate() {
+        let name = format!("relsim.unrepaired.{}", mode.key());
+        publish(&name, &|r| r.unrepaired_by_mode[i]);
+    }
 }
 
 /// Whether the `RF_CHECK=1` in-loop invariant checks are on, resolved
@@ -318,9 +323,9 @@ struct Worker<'a> {
     node: NodeFaults,
     arms: ArmScratch,
     metrics: &'static EngineMetrics,
-    // One enabled-check per worker instead of ~20 per trial: obs state is
-    // fixed before the run starts, so the gated no-op loads inside every
-    // Counter::add would be pure overhead on the (common) disabled path.
+    // One enabled-check per worker instead of one per clean trial: obs
+    // state is fixed before the run starts, so the gated no-op load inside
+    // Counter::inc would be pure overhead on the (common) disabled path.
     metrics_on: bool,
     // Same treatment for the RF_CHECK invariant hook: resolved once, so
     // the off path is a single branch per trial.
@@ -369,7 +374,6 @@ impl<'a> Worker<'a> {
                 let members = &self.groups[gi].1;
                 if self.metrics_on {
                     self.metrics.fast_path_skips.inc();
-                    self.metrics.trial_evals.add(members.len() as u64);
                 }
                 for &si in members {
                     self.local[si].trials += 1;
@@ -403,11 +407,10 @@ impl<'a> Worker<'a> {
         let scenarios = self.scenarios;
         let groups = self.groups;
         let members = &groups[gi].1;
-        let metrics = self.metrics;
         // Deterministic merge key for every event this trial/group emits,
         // on any worker thread.
         let _obs_scope = obs::scope(trial, gi as u64);
-        let _trial_span = metrics.trial_ns.start_span();
+        let _trial_span = self.metrics.trial_ns.start_span();
         self.samplers[gi].sample_faulty_into(sample_rng, &mut self.node);
         if self.check_on {
             let digest = Some(trial_digest(&self.node));
@@ -440,30 +443,6 @@ impl<'a> Worker<'a> {
             let out = self
                 .arms
                 .replay(scenarios, si, &self.node.events, &mut eval_rng);
-            if self.metrics_on {
-                metrics.trial_evals.inc();
-                if out.faulty {
-                    metrics.faulty_nodes.inc();
-                    if out.fully_repaired {
-                        metrics.fully_repaired_nodes.inc();
-                    } else {
-                        metrics.repair_fallback_nodes.inc();
-                    }
-                }
-                metrics.dues.add(out.dues as u64);
-                metrics.transient_dues.add(out.transient_dues as u64);
-                metrics.sdcs.add(out.sdcs as u64);
-                metrics.replacements.add(out.replacements as u64);
-                metrics.permanent_faults.add(out.permanent_faults as u64);
-                metrics.unrepaired_faults.add(out.unrepaired_faults as u64);
-                for (c, n) in metrics
-                    .unrepaired_by_mode
-                    .iter()
-                    .zip(out.unrepaired_by_mode)
-                {
-                    c.add(n as u64);
-                }
-            }
             if out.faulty {
                 trace_event!(target: "relsim", Level::Debug, "trial_eval",
                 arm = si,
@@ -655,6 +634,7 @@ pub fn run_prefixes(
             sdcs = r.sdcs,
             replacements = r.replacements);
     }
+    publish_outcomes(&results);
     cumulative.push(results);
     cumulative
 }

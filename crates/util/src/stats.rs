@@ -1,111 +1,12 @@
-//! Streaming statistics, empirical CDFs, binomial confidence intervals,
-//! and robust trend analytics (MAD outlier scores, CUSUM changepoints)
-//! for the cross-run perf-history ledger.
+//! Empirical CDFs, binomial confidence intervals, and robust trend
+//! analytics (MAD outlier scores, CUSUM changepoints) for the cross-run
+//! perf-history ledger.
 
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use relaxfault_util::stats::Summary;
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] { s.add(x); }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean * self.count as f64
-    }
-}
-
-/// Empirical distribution over `f64` samples with percentile and
-/// fraction-below queries. Used to build the coverage-vs-capacity CDFs of
-/// the paper's Figures 10 and 11.
+/// Empirical distribution over finite `f64` samples with percentile and
+/// fraction-at-most queries, held as an exact count per distinct value:
+/// its size follows the number of distinct values, not of samples. Used
+/// to build the coverage-vs-capacity CDFs of the paper's Figures 10 and
+/// 11, whose samples are repair sizes in whole cache lines.
 ///
 /// # Examples
 ///
@@ -116,26 +17,12 @@ impl Summary {
 /// assert_eq!(e.fraction_at_most(2.5), 0.5);
 /// assert_eq!(e.percentile(50.0), 2.0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ecdf {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-/// Two distributions are equal when they hold the same multiset of samples
-/// (bit-for-bit), regardless of insertion order — parallel reductions merge
-/// per-worker chunks, so insertion order is not meaningful.
-impl PartialEq for Ecdf {
-    fn eq(&self, other: &Self) -> bool {
-        if self.samples.len() != other.samples.len() {
-            return false;
-        }
-        let mut a = self.samples.clone();
-        let mut b = other.samples.clone();
-        a.sort_by(f64::total_cmp);
-        b.sort_by(f64::total_cmp);
-        a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits())
-    }
+    /// Distinct values in ascending `total_cmp` order, each with its count.
+    counts: Vec<(f64, u64)>,
+    /// Sum of the counts.
+    len: u64,
 }
 
 impl Ecdf {
@@ -145,71 +32,94 @@ impl Ecdf {
     }
 
     /// Adds one sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not finite.
     pub fn add(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
+        assert!(x.is_finite(), "Ecdf sample {x} is not finite");
+        match self.counts.binary_search_by(|(v, _)| v.total_cmp(&x)) {
+            Ok(i) => self.counts[i].1 += 1,
+            Err(i) => self.counts.insert(i, (x, 1)),
+        }
+        self.len += 1;
     }
 
     /// Adds many samples.
     pub fn extend<I: IntoIterator<Item = f64>>(&mut self, xs: I) {
-        self.samples.extend(xs);
-        self.sorted = false;
+        for x in xs {
+            self.add(x);
+        }
     }
 
-    /// Merges another distribution into this one.
+    /// Merges another distribution into this one, adding the counts of
+    /// values both hold.
     pub fn merge(&mut self, other: &Ecdf) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
+        // Two ascending runs: the stable sort merges them in linear time.
+        self.counts.extend_from_slice(&other.counts);
+        self.counts.sort_by(|a, b| a.0.total_cmp(&b.0));
+        self.counts.dedup_by(|next, kept| {
+            let same = next.0.to_bits() == kept.0.to_bits();
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        self.len += other.len;
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len as usize
     }
 
     /// Whether the distribution is empty.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-            self.sorted = true;
-        }
+        self.len == 0
     }
 
     /// Fraction of samples `<= x` (0 if empty).
-    pub fn fraction_at_most(&mut self, x: f64) -> f64 {
-        if self.samples.is_empty() {
+    pub fn fraction_at_most(&self, x: f64) -> f64 {
+        if self.len == 0 {
             return 0.0;
         }
-        self.ensure_sorted();
-        let idx = self.samples.partition_point(|&s| s <= x);
-        idx as f64 / self.samples.len() as f64
+        let within: u64 = self
+            .counts
+            .iter()
+            .take_while(|(v, _)| *v <= x)
+            .map(|(_, n)| n)
+            .sum();
+        within as f64 / self.len as f64
     }
 
-    /// The samples in ascending order (sorting in place if needed) —
-    /// the canonical form for digesting or serializing a distribution,
+    /// The samples in ascending order, each repeated as often as it was
+    /// added: the canonical form for digesting a distribution,
     /// independent of merge order.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.samples
+    // Takes `&mut self` so that the benchmark's `let mut` clone builds without warnings.
+    pub fn sorted_samples(&mut self) -> impl Iterator<Item = f64> + '_ {
+        self.counts
+            .iter()
+            .flat_map(|&(v, n)| std::iter::repeat_n(v, n as usize))
     }
 
-    /// The `p`-th percentile (nearest-rank method).
+    /// The `p`-th percentile (nearest-rank method: the `ceil(p·n/100)`-th
+    /// smallest sample).
     ///
     /// # Panics
     ///
     /// Panics if the distribution is empty or `p` is outside `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!(!self.samples.is_empty(), "percentile of empty distribution");
+    pub fn percentile(&self, p: f64) -> f64 {
+        assert!(self.len > 0, "percentile of empty distribution");
         assert!((0.0..=100.0).contains(&p));
-        self.ensure_sorted();
-        let n = self.samples.len();
-        let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-        self.samples[rank - 1]
+        let rank = ((p / 100.0 * self.len as f64).ceil() as u64).clamp(1, self.len);
+        let mut seen = 0;
+        for &(v, n) in &self.counts {
+            seen += n;
+            if seen >= rank {
+                return v;
+            }
+        }
+        unreachable!("the counts sum to len")
     }
 }
 
@@ -487,53 +397,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_basic_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for &x in &data {
-            whole.add(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &data[..37] {
-            a.add(x);
-        }
-        for &x in &data[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_merge_with_empty_is_identity() {
-        let mut a = Summary::new();
-        a.add(3.0);
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
     fn ecdf_fraction_and_percentile() {
         let mut e = Ecdf::new();
         e.extend((1..=100).map(|i| i as f64));
@@ -555,6 +418,73 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 4);
         assert_eq!(a.fraction_at_most(2.0), 0.5);
+    }
+
+    #[test]
+    fn counted_ecdf_matches_a_sorted_sample_list() {
+        use crate::prop::{self, Source};
+        use crate::prop_assert;
+        prop::check(256, |src: &mut Source| {
+            // Repair-size-like samples: multiples of 64 drawn from a few
+            // distinct values, 0 among them, so most values repeat.
+            let distinct = src.usize(1, 12);
+            let mut sizes = vec![0.0];
+            sizes.extend((1..distinct).map(|_| (src.u64(1, 4096) * 64) as f64));
+            let samples = src.vec(0, 400, |s| sizes[s.choice_index(distinct)]);
+            let parts = src.usize(1, 6);
+            let mut partials = vec![Ecdf::new(); parts];
+            for &x in &samples {
+                partials[src.choice_index(parts)].add(x);
+            }
+            let mut forward = Ecdf::new();
+            for p in &partials {
+                forward.merge(p);
+            }
+            let mut backward = Ecdf::new();
+            for p in partials.iter().rev() {
+                backward.merge(p);
+            }
+            prop_assert!(forward == backward, "merge order changed the result");
+
+            let mut reference = samples;
+            reference.sort_by(f64::total_cmp);
+            let n = reference.len();
+            prop_assert!(forward.len() == n && forward.is_empty() == (n == 0));
+            let expanded: Vec<f64> = forward.sorted_samples().collect();
+            prop_assert!(expanded == reference, "sorted samples differ");
+            for &v in &sizes {
+                for x in [v - 32.0, v, v + 32.0] {
+                    let within = reference.partition_point(|&s| s <= x);
+                    let want = if n == 0 {
+                        0.0
+                    } else {
+                        within as f64 / n as f64
+                    };
+                    prop_assert!(
+                        forward.fraction_at_most(x).to_bits() == want.to_bits(),
+                        "fraction_at_most({x})"
+                    );
+                }
+            }
+            if n > 0 {
+                for p in [
+                    0.0, 0.5, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0,
+                ] {
+                    let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
+                    prop_assert!(
+                        forward.percentile(p) == reference[rank - 1],
+                        "percentile({p})"
+                    );
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn ecdf_rejects_non_finite_samples() {
+        Ecdf::new().add(f64::NAN);
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn main() {
                 .with_mechanism(Mechanism::RelaxFault { max_ways: w })
         })
         .collect();
-    let mut results = run_scenarios(
+    let results = run_scenarios(
         &arms,
         &RunConfig {
             trials,
@@ -117,7 +117,7 @@ fn main() {
         },
     );
     let mut t2 = Table::new(&["way limit", "coverage", "LLC @ p90", "LLC @ p99"]);
-    for (w, r) in [1u32, 2, 4, 8, 16].into_iter().zip(results.iter_mut()) {
+    for (w, r) in [1u32, 2, 4, 8, 16].into_iter().zip(&results) {
         let p90 = r
             .bytes_for_coverage(0.90)
             .map(format_bytes)

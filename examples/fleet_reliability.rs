@@ -39,7 +39,7 @@ fn main() {
         arms.len()
     );
     let t0 = std::time::Instant::now();
-    let mut results = run_scenarios(
+    let results = run_scenarios(
         &arms,
         &RunConfig {
             trials,
@@ -60,7 +60,7 @@ fn main() {
     ]);
     let baseline_dues = results[0].dues_per_system(NODES);
     let baseline_repl = results[0].replacements_per_system(NODES).max(1e-9);
-    for r in results.iter_mut() {
+    for r in &results {
         let p90 = r
             .bytes_for_coverage(0.90)
             .map(format_bytes)

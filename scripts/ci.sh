@@ -154,19 +154,16 @@ fi
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/obs \
     || { echo "obs gate: results/ci/obs failed validation" >&2; exit 4; }
 
-# Engine hot-loop regression gate: replay the per-trial pipeline bench and
-# compare against the committed baseline snapshot. Cargo runs bench
-# binaries with the bench crate as cwd, so RF_RESULTS_DIR must be
-# absolute. A regression verdict (obs_diff exit 1) fails the build with
-# exit 2; the verdict JSON is kept under results/ci/ either way.
+# Engine hot-loop bench: replay the per-trial pipeline and snapshot it.
+# Cargo runs bench binaries with the bench crate as cwd, so
+# RF_RESULTS_DIR must be absolute. The history gate below ingests the
+# snapshot; its comparison against the committed baseline (exit 2) runs
+# last, because a timing verdict on a shared host is noisy and must not
+# hide the deterministic gates after this one.
 if [ -f results/baselines/engine_hot.json ]; then
     RF_OBS=on RF_RESULTS_DIR="$PWD/results/ci" RF_RUN_NAME=engine_hot \
         RF_BENCH_BATCH_MS=40 RF_BENCH_BATCHES=5 \
         cargo bench -q -p relaxfault-bench --bench engine_hot
-    cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
-        results/baselines/engine_hot.json results/ci/obs/engine_hot.json \
-        --threshold 0.5 --out results/ci/engine_hot_regression_verdict.json \
-        || exit 2
 fi
 
 # Perf-history observatory gate: the CI runs above were ledgered at
@@ -290,3 +287,14 @@ cargo run --release -q -p relaxfault-relcheck --bin relcheck -- replay "$repro" 
 grep -A3 '"id": "fig08_hashing-repro"' results/ci/farm_fail/farm/farm_state.json \
     | tr -d '\n ' | grep -q '"role":"repro","status":"ok"' \
     || { echo "farm gate: diagnostic job is not recorded repro/ok" >&2; exit 8; }
+
+# Engine hot-loop regression gate: compare the engine_hot snapshot taken
+# above against the committed baseline. A regression verdict (obs_diff
+# exit 1) fails the build with exit 2; the verdict JSON is kept under
+# results/ci/ either way.
+if [ -f results/baselines/engine_hot.json ]; then
+    cargo run --release -q -p relaxfault-bench --bin obs_diff -- \
+        results/baselines/engine_hot.json results/ci/obs/engine_hot.json \
+        --threshold 0.5 --out results/ci/engine_hot_regression_verdict.json \
+        || exit 2
+fi

@@ -98,7 +98,7 @@ fn capacity_headline() {
     let arms = vec![Scenario::isca16_baseline()
         .with_mechanism(Mechanism::RelaxFault { max_ways: 1 })
         .with_replacement(ReplacementPolicy::None)];
-    let mut r = run(&arms, 12_000);
+    let r = run(&arms, 12_000);
     let within = r[0].coverage_at_bytes(128 << 10);
     let total = r[0].coverage();
     assert!(
