@@ -18,14 +18,22 @@
 //!   into one precomputed `P(node lifetime has zero events)` =
 //!   [`FaultSampler::p_clean`]. [`FaultSampler::trial_is_clean`] spends a
 //!   *single* uniform draw on that aggregate gate — for the paper's
-//!   default model ~87% of trials finish right there, with no region,
-//!   event, or extent machinery touched. When the gate fails, the
-//!   remaining lifetime is drawn from the exact conditional distribution
-//!   given ≥ 1 event, by first-success decomposition: walk the DIMMs with
-//!   the hazard `P(this dimm is first nonzero | none yet, ≥1 remaining)`,
-//!   then walk the forced DIMM's cells the same way (using precomputed
-//!   suffix clean-products), force the first nonzero cell's count to be
-//!   ≥ 1, and sample everything after the first success unconditionally.
+//!   default model ~78% of trials finish right there at 1× FIT (~8% at
+//!   10×), with no region, event, or extent machinery touched. When the
+//!   gate fails, the remaining lifetime is drawn from the exact
+//!   conditional distribution given ≥ 1 event, by first-success
+//!   decomposition: walk the DIMMs with the hazard `P(this dimm is first
+//!   nonzero | none yet, ≥1 remaining)`, then walk the forced DIMM's cells
+//!   the same way, force the first nonzero cell's count to be ≥ 1, and
+//!   scan everything after the first success unconditionally.
+//!
+//! Both cell loops cost one raw `u64` draw and one integer compare per
+//! cell: every cell's hazard and gate is precomputed as a mantissa
+//! threshold ([`unit_f64_threshold`]), whose compare is bit-identical to
+//! the `f64` compare it replaces, and the loops draw from a local copy of
+//! the generator, whose state stays in registers. A cell whose gate fails
+//! goes out of line. So every draw is the one the `f64` formulation
+//! makes, in the same order.
 //!
 //! The only approximation in the conditional path is reusing the
 //! quadrature `q₀` for slow-path gates, whose true zero probability it
@@ -35,18 +43,26 @@
 //!
 //! `tests::matches_reference_sampler` and
 //! `tests::clean_gate_matches_reference_zero_rate` check the fast and
-//! reference samplers agree statistically.
+//! reference samplers agree statistically, and
+//! `tests::conditional_stream_is_pinned` pins the conditional stream.
 
 use crate::inject::{FaultEvent, FaultModel, NodeFaults};
 use crate::modes::{FaultMode, Transience, HOURS_PER_YEAR};
 use crate::region::RegionList;
 use relaxfault_dram::{DramConfig, RankId};
 use relaxfault_util::dist::{poisson, LogNormal};
-use relaxfault_util::rng::{u64_is_below, unit_f64_threshold, Rng};
+use relaxfault_util::rng::{u64_is_below, unit_f64_threshold, Rng, Rng64};
 
 /// Mean above which the gate approximation is abandoned for the exact
 /// two-stage draw.
 const SLOW_PATH_THRESHOLD: f64 = 0.02;
+
+/// Cell threshold of a cell that spends no draw: λ = 0 (in the walk,
+/// q0 = 1). Mantissa thresholds are at most 2⁵³, so neither sentinel
+/// collides with one.
+const NO_DRAW: u64 = u64::MAX;
+/// Scan threshold of a slow cell: its count is the exact two-stage draw.
+const EXACT: u64 = u64::MAX - 1;
 
 #[derive(Debug, Clone, Copy)]
 struct ProcessGate {
@@ -55,11 +71,6 @@ struct ProcessGate {
     lambda: f64,
     /// P(N = 0) under the lognormal mixture.
     q0: f64,
-    /// `q0` as an integer mantissa threshold (see
-    /// [`relaxfault_util::rng::unit_f64_threshold`]): the fast-gate draw
-    /// compares a raw `u64` against it, bit-identical to the `f64`
-    /// compare but without the int→float conversion.
-    q0_threshold: u64,
     /// Whether to use the exact slow path.
     slow: bool,
 }
@@ -97,10 +108,16 @@ pub struct FaultSampler {
     lognorm: Option<(LogNormal, LogNormal)>,
     /// Per class: P(every cell of one DIMM is event-free).
     q_dimm: [f64; 2],
-    /// Per class: suffix clean-products over one DIMM's cell sequence
-    /// (rank-major, then device, then gate); `suffix[c][k]` =
-    /// P(cells `k..` are all zero), with a trailing `1.0` sentinel.
-    suffix: [Vec<f64>; 2],
+    /// Per class and cell of one DIMM (rank-major, then device, then
+    /// gate), the scan's threshold: the gate's `q0` as a mantissa threshold
+    /// (a draw below it is a zero count), [`EXACT`] for a slow gate, or
+    /// [`NO_DRAW`] for λ = 0.
+    scan: [Vec<u64>; 2],
+    /// Per class and cell, the walk's threshold: the first-success hazard
+    /// `(1 − q0) / (1 − suffix[k])` as a mantissa threshold, where
+    /// `suffix[k]` = P(cells `k..` are all zero), or [`NO_DRAW`] where
+    /// q0 = 1. The last drawing cell's hazard is exactly 1.
+    walk: [Vec<u64>; 2],
     /// P(one DIMM is clean) when the node is not accelerated:
     /// `p_dimm_acc · q_dimm[0] + (1 − p_dimm_acc) · q_dimm[1]`.
     e_dimm: f64,
@@ -139,7 +156,6 @@ impl FaultSampler {
                         transience,
                         lambda,
                         q0,
-                        q0_threshold: unit_f64_threshold(q0),
                         slow: lambda > SLOW_PATH_THRESHOLD,
                     }
                 })
@@ -148,20 +164,45 @@ impl FaultSampler {
         let gates = [make_gates(factors[0]), make_gates(factors[1])];
 
         // Zero-fault fast-path precomputation: fold the per-cell gates
-        // into per-DIMM and per-node clean probabilities, and suffix
-        // products for the conditional first-success walk.
+        // into per-DIMM and per-node clean probabilities, and lay out both
+        // cell loops' thresholds, one per cell of one DIMM.
         let cells_per_dimm =
             (cfg.ranks_per_dimm * cfg.devices_per_rank()) as usize * gates[0].len();
         let mut q_dimm = [1.0f64; 2];
-        let mut suffix = [Vec::new(), Vec::new()];
+        let mut scan = [Vec::new(), Vec::new()];
+        let mut walk = [Vec::new(), Vec::new()];
         for class in 0..2 {
-            let g = &gates[class];
-            let mut s = vec![1.0f64; cells_per_dimm + 1];
+            let cells: Vec<&ProcessGate> =
+                gates[class].iter().cycle().take(cells_per_dimm).collect();
+            // suffix[k] = P(cells k.. are all zero), with a trailing 1.0.
+            let mut suffix = vec![1.0f64; cells_per_dimm + 1];
             for k in (0..cells_per_dimm).rev() {
-                s[k] = s[k + 1] * g[k % g.len()].q0;
+                suffix[k] = suffix[k + 1] * cells[k].q0;
             }
-            q_dimm[class] = s[0];
-            suffix[class] = s;
+            q_dimm[class] = suffix[0];
+            walk[class] = cells
+                .iter()
+                .zip(&suffix)
+                .map(|(gate, s)| {
+                    if gate.q0 < 1.0 {
+                        unit_f64_threshold((1.0 - gate.q0) / (1.0 - s))
+                    } else {
+                        NO_DRAW
+                    }
+                })
+                .collect();
+            scan[class] = cells
+                .iter()
+                .map(|gate| {
+                    if gate.lambda == 0.0 {
+                        NO_DRAW
+                    } else if gate.slow {
+                        EXACT
+                    } else {
+                        unit_f64_threshold(gate.q0)
+                    }
+                })
+                .collect();
         }
         let d = cfg.dimms_per_node() as i32;
         let e_dimm = v.accel_dimm_fraction * q_dimm[0] + (1.0 - v.accel_dimm_fraction) * q_dimm[1];
@@ -176,7 +217,8 @@ impl FaultSampler {
             factors,
             lognorm,
             q_dimm,
-            suffix,
+            scan,
+            walk,
             e_dimm,
             q_node,
         }
@@ -199,7 +241,7 @@ impl FaultSampler {
 
     /// Samples one node lifetime (drop-in replacement for
     /// [`FaultModel::sample_node`]).
-    pub fn sample_node<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeFaults {
+    pub fn sample_node(&self, rng: &mut Rng64) -> NodeFaults {
         let mut out = NodeFaults::default();
         self.sample_node_into(rng, &mut out);
         out
@@ -207,7 +249,7 @@ impl FaultSampler {
 
     /// Samples one node lifetime into a caller-owned buffer, reusing its
     /// allocations. Equivalent to [`FaultSampler::sample_node`].
-    pub fn sample_node_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut NodeFaults) {
+    pub fn sample_node_into(&self, rng: &mut Rng64, out: &mut NodeFaults) {
         out.clear();
         if !self.trial_is_clean(rng) {
             self.sample_faulty_into(rng, out);
@@ -218,7 +260,7 @@ impl FaultSampler {
     /// continuing the stream after a failed [`FaultSampler::trial_is_clean`]
     /// gate. Calling the gate and then this on one stream is exactly
     /// [`FaultSampler::sample_node_into`].
-    pub fn sample_faulty_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut NodeFaults) {
+    pub fn sample_faulty_into(&self, rng: &mut Rng64, out: &mut NodeFaults) {
         out.clear();
         let v = &self.model.variation;
         let d = self.cfg.dimms_per_node();
@@ -245,7 +287,7 @@ impl FaultSampler {
                 }
                 let class = if node_acc || dimm_acc { 0 } else { 1 };
                 if self.factors[class] != 0.0 {
-                    self.sample_dimm_unconditional(class, dimm_flat, rng, out);
+                    self.scan(class, dimm_flat, 0, rng, out);
                 }
                 continue;
             }
@@ -261,7 +303,7 @@ impl FaultSampler {
                 let p_forced = (1.0 - e) / (1.0 - e.powi(remaining));
                 if rng.gen::<f64>() < p_forced {
                     forced_done = true;
-                    self.sample_dimm_forced(0, dimm_flat, rng, out);
+                    self.walk(0, dimm_flat, rng, out);
                 }
             } else {
                 let e = self.e_dimm;
@@ -278,7 +320,7 @@ impl FaultSampler {
                         out.accelerated_dimms.push(dimm_flat);
                     }
                     forced_done = true;
-                    self.sample_dimm_forced(if dimm_acc { 0 } else { 1 }, dimm_flat, rng, out);
+                    self.walk(if dimm_acc { 0 } else { 1 }, dimm_flat, rng, out);
                 } else {
                     // Clean DIMM: acceleration flag from its posterior.
                     let p_acc = if p_d > 0.0 {
@@ -300,87 +342,88 @@ impl FaultSampler {
         });
     }
 
-    /// Legacy unconditional scan of one DIMM's cells.
-    fn sample_dimm_unconditional<R: Rng + ?Sized>(
+    /// The forced DIMM's cells: the first-success walk up to the first
+    /// nonzero cell, whose count is forced ≥ 1, then the unconditional
+    /// scan of the cells after it. Cells with q0 = 1 spend no draw.
+    fn walk(&self, class: usize, dimm_flat: u32, rng: &mut Rng64, out: &mut NodeFaults) {
+        // Both cell loops draw from a local copy of the generator, which
+        // stays in registers, and write it back on exit.
+        let mut r = rng.clone();
+        for (cell, &t) in self.walk[class].iter().enumerate() {
+            if t != NO_DRAW && u64_is_below(r.next_u64(), t) {
+                *rng = r;
+                self.cell_events(class, dimm_flat, cell, false, rng, out);
+                return self.scan(class, dimm_flat, cell + 1, rng, out);
+            }
+        }
+        unreachable!("the last drawing cell's hazard is 1")
+    }
+
+    /// Unconditional scan of one DIMM's cells from `start` on. A fast
+    /// gate spends one draw, a slow cell goes straight to its exact draw,
+    /// and a λ = 0 cell spends nothing.
+    fn scan(
         &self,
         class: usize,
         dimm_flat: u32,
-        rng: &mut R,
+        start: usize,
+        rng: &mut Rng64,
         out: &mut NodeFaults,
     ) {
-        let cfg = &self.cfg;
-        for rank_in_dimm in 0..cfg.ranks_per_dimm {
-            let rank = RankId {
-                channel: dimm_flat / cfg.dimms_per_channel,
-                dimm: dimm_flat % cfg.dimms_per_channel,
-                rank: rank_in_dimm,
+        let mut r = rng.clone();
+        for (cell, &t) in self.scan[class].iter().enumerate().skip(start) {
+            let fails = if t < EXACT {
+                !u64_is_below(r.next_u64(), t)
+            } else {
+                t == EXACT
             };
-            for device in 0..cfg.devices_per_rank() {
-                for gate in &self.gates[class] {
-                    let count = self.sample_count(gate, rng);
-                    self.emit_events(gate, count, rank, device, rng, out);
-                }
+            if fails {
+                // Out of line on a copy, so `r` never leaves registers.
+                let mut spill = r.clone();
+                self.cell_events(class, dimm_flat, cell, t == EXACT, &mut spill, out);
+                r = spill;
             }
         }
+        *rng = r;
     }
 
-    /// Scan of one DIMM's cells conditioned on the DIMM containing the
-    /// node's first nonzero cell: first-success hazards up to the forced
-    /// cell, unconditional sampling after it.
-    fn sample_dimm_forced<R: Rng + ?Sized>(
+    /// One cell past its gate: draws the count (the exact two-stage draw
+    /// when `exact`, else the ≥ 1 conditional) and emits its events. Out
+    /// of line, so that the cell loops stay small.
+    #[cold]
+    #[inline(never)]
+    fn cell_events(
         &self,
         class: usize,
         dimm_flat: u32,
-        rng: &mut R,
+        cell: usize,
+        exact: bool,
+        rng: &mut Rng64,
         out: &mut NodeFaults,
     ) {
-        let cfg = &self.cfg;
-        let suffix = &self.suffix[class];
-        let mut cell = 0usize;
-        let mut forced = false;
-        for rank_in_dimm in 0..cfg.ranks_per_dimm {
-            let rank = RankId {
-                channel: dimm_flat / cfg.dimms_per_channel,
-                dimm: dimm_flat % cfg.dimms_per_channel,
-                rank: rank_in_dimm,
+        let gates = &self.gates[class];
+        let gate = &gates[cell % gates.len()];
+        let count = if exact {
+            let m = match &self.lognorm {
+                None => 1.0,
+                Some((base, _)) => base.sample(rng),
             };
-            for device in 0..cfg.devices_per_rank() {
-                for gate in &self.gates[class] {
-                    if forced {
-                        let count = self.sample_count(gate, rng);
-                        self.emit_events(gate, count, rank, device, rng, out);
-                    } else if gate.q0 < 1.0 {
-                        // P(this cell is the first nonzero | none yet,
-                        // ≥ 1 in the remaining cells). At the last
-                        // possible cell this is exactly 1.
-                        let p = (1.0 - gate.q0) / (1.0 - suffix[cell]);
-                        if rng.gen::<f64>() < p {
-                            forced = true;
-                            let count = self.sample_count_nonzero(gate, rng);
-                            self.emit_events(gate, count, rank, device, rng, out);
-                        }
-                    }
-                    // q0 == 1 cells (λ == 0) consume no randomness on
-                    // either path.
-                    cell += 1;
-                }
-            }
-        }
-        debug_assert!(forced, "forced DIMM produced no event");
-    }
-
-    fn emit_events<R: Rng + ?Sized>(
-        &self,
-        gate: &ProcessGate,
-        count: u64,
-        rank: RankId,
-        device: u32,
-        rng: &mut R,
-        out: &mut NodeFaults,
-    ) {
+            poisson(rng, gate.lambda * m)
+        } else {
+            self.sample_count_nonzero(gate, rng)
+        };
+        let cfg = &self.cfg;
+        let slot = cell / gates.len();
+        let devices = cfg.devices_per_rank() as usize;
+        let rank = RankId {
+            channel: dimm_flat / cfg.dimms_per_channel,
+            dimm: dimm_flat % cfg.dimms_per_channel,
+            rank: (slot / devices) as u32,
+        };
+        let device = (slot % devices) as u32;
         for _ in 0..count {
             let time_hours = rng.gen::<f64>() * self.hours;
-            let extent = self.model.geometry.sample_extent(rng, gate.mode, &self.cfg);
+            let extent = self.model.geometry.sample_extent(rng, gate.mode, cfg);
             let event = FaultEvent {
                 time_hours,
                 mode: gate.mode,
@@ -392,29 +435,11 @@ impl FaultSampler {
         }
     }
 
-    fn sample_count<R: Rng + ?Sized>(&self, gate: &ProcessGate, rng: &mut R) -> u64 {
-        if gate.lambda == 0.0 {
-            return 0;
-        }
-        if gate.slow {
-            // Exact two-stage draw for non-negligible means.
-            let m = match &self.lognorm {
-                None => 1.0,
-                Some((base, _)) => base.sample(rng),
-            };
-            return poisson(rng, gate.lambda * m);
-        }
-        if u64_is_below(rng.next_u64(), gate.q0_threshold) {
-            return 0;
-        }
-        self.sample_count_nonzero(gate, rng)
-    }
-
     /// The count distribution conditioned on being nonzero: the gate
     /// path's own ≥ 1 branch for fast gates, exact rejection for slow
     /// ones (accepts with probability `1 − q0` per attempt, so the loop
     /// is short for every gate past the slow threshold).
-    fn sample_count_nonzero<R: Rng + ?Sized>(&self, gate: &ProcessGate, rng: &mut R) -> u64 {
+    fn sample_count_nonzero(&self, gate: &ProcessGate, rng: &mut Rng64) -> u64 {
         if gate.slow {
             loop {
                 let m = match &self.lognorm {
@@ -487,6 +512,7 @@ fn quad_q0(lambda: f64, base: &LogNormal) -> f64 {
 mod tests {
     use super::*;
     use crate::modes::FitRates;
+    use relaxfault_util::persist::digest_debug;
     use relaxfault_util::rng::Rng64;
 
     fn cfg() -> DramConfig {
@@ -622,6 +648,92 @@ mod tests {
             let node = s.sample_node(&mut rng);
             for w in node.events.windows(2) {
                 assert!(w[0].time_hours <= w[1].time_hours);
+            }
+        }
+    }
+
+    /// Digest of 2,000 conditional lifetimes, one stream per seed, each
+    /// followed by the stream's next draw: a change that moves any event,
+    /// flag or draw of the conditional path changes the digest.
+    fn conditional_stream_digest(model: &FaultModel, cfg: &DramConfig) -> u64 {
+        let s = FaultSampler::new(model, cfg);
+        let mut node = NodeFaults::default();
+        let per_lifetime: Vec<u64> = (0..2_000u64)
+            .map(|seed| {
+                let mut rng = Rng64::seed_from_u64(seed);
+                s.sample_faulty_into(&mut rng, &mut node);
+                digest_debug(&(&node, rng.next_u64()))
+            })
+            .collect();
+        digest_debug(&per_lifetime)
+    }
+
+    /// The corners the conditional stream is pinned at: cielo at 1×, 10×
+    /// and 100× FIT (slow gates in the accelerated class, then in both
+    /// classes); zero-rate processes on 2-rank DIMMs (λ = 0 cells first,
+    /// in the middle and last among each device's cells, so a DIMM's last
+    /// cell draws nothing, and a live multi-rank process whose regions
+    /// span both ranks); and the uniform model (no lognormal and no
+    /// acceleration draws).
+    fn pinned_models() -> [(&'static str, FaultModel, DramConfig); 5] {
+        let mut two_rank = cfg();
+        two_rank.ranks_per_dimm = 2;
+        two_rank.rows = 32768;
+        two_rank.validate().unwrap();
+        let mut sparse = FitRates::cielo().scaled(10.0);
+        sparse.fit[0][0] = 0.0;
+        sparse.fit[2] = [0.0, 0.0];
+        sparse.fit[5][1] = 0.0;
+        let cielo = |scale: f64| FaultModel::isca16(FitRates::cielo().scaled(scale), 6.0);
+        [
+            ("cielo 1x", cielo(1.0), cfg()),
+            ("cielo 10x", cielo(10.0), cfg()),
+            ("cielo 100x", cielo(100.0), cfg()),
+            (
+                "zero rates, 2 ranks",
+                FaultModel::isca16(sparse, 6.0),
+                two_rank,
+            ),
+            (
+                "uniform",
+                FaultModel::uniform(FitRates::cielo(), 6.0),
+                cfg(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn conditional_stream_is_pinned() {
+        let want = [
+            0xb60a03cc66d82839u64,
+            0xab56362fa86ee31f,
+            0xa68e10c0db3006cc,
+            0xdf48c239550bf756,
+            0x0679aeb177986022,
+        ];
+        let show = |name: &str, d: u64| format!("{name}: {d:#018x}");
+        let models = pinned_models();
+        let got: Vec<String> = models
+            .iter()
+            .map(|(name, model, c)| show(name, conditional_stream_digest(model, c)))
+            .collect();
+        let want: Vec<String> = models
+            .iter()
+            .zip(want)
+            .map(|((name, ..), d)| show(name, d))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn forced_walk_ends_at_its_last_drawing_cell() {
+        // The last cell that draws has hazard 1: threshold 2⁵³, which every
+        // draw is below, so the walk always forces a cell.
+        for (name, model, c) in pinned_models() {
+            let s = FaultSampler::new(&model, &c);
+            for (class, walk) in s.walk.iter().enumerate() {
+                let last = walk.iter().rev().find(|&&t| t != NO_DRAW);
+                assert_eq!(last, Some(&(1u64 << 53)), "{name}, class {class}");
             }
         }
     }

@@ -79,12 +79,20 @@ for t in "${tables[@]}"; do
 done
 
 # Thread-matrix gate: which worker runs a trial must never change its
-# result. One pinned scenario mix is digested at 1, 2 and 4 threads; all
-# three digests must be identical bit for bit. The verdict JSON (one
-# digest per cell) is archived under results/ci/. Any divergence exits 7.
+# result, and neither may a change that means to keep every output. One
+# pinned scenario mix is digested at 1, 2 and 4 threads; all three
+# digests must be identical bit for bit, and the fresh verdict must equal
+# the committed results/ci/thread_matrix_verdict.json byte for byte. A
+# change that means to move outputs re-records that file (same command,
+# --out pointing at it). Any divergence exits 7.
 cargo run --release -q -p relaxfault-relcheck --bin relcheck -- thread-matrix \
-    --trials 4000 --out results/ci/thread_matrix_verdict.json \
+    --trials 4000 --out results/ci/thread_matrix_fresh.json \
     || { echo "thread-matrix gate: thread counts diverged" >&2; exit 7; }
+if ! cmp -s results/ci/thread_matrix_fresh.json results/ci/thread_matrix_verdict.json; then
+    echo "thread-matrix gate: digests moved from the committed verdict:" >&2
+    diff results/ci/thread_matrix_verdict.json results/ci/thread_matrix_fresh.json >&2 || true
+    exit 7
+fi
 
 # Fleet checkpoint/resume determinism gate: a 1M-node fleet over 20
 # epochs runs to completion once; it must leave a progress document
