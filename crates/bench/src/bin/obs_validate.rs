@@ -13,8 +13,6 @@
 //!   see: a crash dump's embedded checkpoint must decode as a
 //!   [`FleetCheckpoint`]. One kind must not mix schema versions across
 //!   the scanned files; an unknown kind fails.
-//! * Event streams (`*.events.json`) must be JSON arrays, as a crash
-//!   dump's `flight` must.
 //! * Perf-history ledgers (`*.jsonl`) must strict-parse line by line
 //!   (every record a `history_entry` with a verified content digest), end
 //!   with a newline, and satisfy the `util::history` ledger invariants.
@@ -33,14 +31,13 @@ use relaxfault_util::persist::Persist;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-const REQUIRED_KEYS: [&str; 7] = [
+const REQUIRED_KEYS: [&str; 6] = [
     "schema_version",
     "manifest",
     "counters",
     "gauges",
     "histograms",
     "benches",
-    "dropped_events",
 ];
 
 fn object_len(doc: &Value, key: &str) -> Result<usize, String> {
@@ -145,15 +142,6 @@ fn validate_snapshot(doc: &Value, path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates one drained event stream (`<run>.events.json`) the way
-/// [`CrashDump`] checks its `flight`: strict JSON, and an array.
-fn validate_events(path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    let doc = Value::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    doc.as_array().ok_or("event stream is not a JSON array")?;
-    Ok(())
-}
-
 fn main() {
     let dir = std::env::args()
         .skip(1)
@@ -185,10 +173,7 @@ fn main() {
         if name.ends_with(".progress.json") {
             continue; // fleet_forecast's status document, not a snapshot
         }
-        let result = if name.ends_with(".events.json") {
-            checked += 1;
-            validate_events(&path)
-        } else if name.ends_with(".jsonl") {
+        let result = if name.ends_with(".jsonl") {
             checked += 1;
             validate_ledger(&path)
         } else if name.ends_with(".json") {

@@ -511,8 +511,7 @@ mod tests {
               "benches": {
                 "node_eval": {"median_ns": 100.0, "iters": 1000,
                                "batch_ns": [98.0, 99.0, 100.0, 100.5, 101.0, 101.5, 102.0]}
-              },
-              "dropped_events": 0
+              }
             }"#,
         )
         .expect("fixture parses")

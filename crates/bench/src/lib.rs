@@ -47,14 +47,12 @@ impl BenchArgs {
 /// Standard harness start-up, called first in every `fig*`/`table*` main:
 ///
 /// * `--quiet`/`-q` (or `RF_OBS=off` in the environment, handled by
-///   `util::obs` itself) turns every trace/metric off regardless of
-///   `RF_TRACE`;
+///   `util::obs` itself) turns every metric off regardless of `RF_OBS=on`;
 /// * `--run NAME` (or `--run=NAME`, or `RF_RUN_NAME` in the environment)
-///   overrides the run name [`emit`] uses for the obs snapshot and event
-///   files — this is how CI writes `drift_a`/`drift_b` from the same
-///   binary;
+///   overrides the run name [`emit`] uses for the obs snapshot — this is
+///   how CI writes `drift_a`/`drift_b` from the same binary;
 /// * a crash-dump panic hook is installed (unless `--quiet`/`RF_OBS=off`),
-///   so any panic copies the trace rings and metrics into
+///   so any panic copies the metrics into
 ///   `<results>/obs/<run>.crashdump.json`;
 /// * the first positional numeric argument overrides the work amount
 ///   (read it back with [`BenchArgs::work`]);
@@ -146,9 +144,7 @@ fn run_name(default: &str) -> String {
 /// results directory (`RF_RESULTS_DIR`, default `results/`), or returns an
 /// error naming the file it could not write. When observability is
 /// enabled, the run's metrics snapshot (with its manifest) lands
-/// best-effort under `<dir>/obs/`, and so does `<run>.events.json` when
-/// the `RF_TRACE` filter captured events: the drained merged stream in the
-/// [`obs::events_to_json`] encoding crash dumps use.
+/// best-effort under `<dir>/obs/`.
 pub fn emit(name: &str, title: &str, table: &Table) -> Result<(), String> {
     println!("== {title} ==");
     print!("{}", table.render());
@@ -168,19 +164,10 @@ pub fn emit(name: &str, title: &str, table: &Table) -> Result<(), String> {
         let path = format!("{dir}/{name}.{ext}");
         std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    let run = run_name(name);
     if obs::metrics_enabled() {
-        match obs::write_snapshot(&run) {
+        match obs::write_snapshot(&run_name(name)) {
             Ok(path) => println!("obs snapshot: {path}"),
             Err(e) => eprintln!("obs snapshot failed: {e}"),
-        }
-    }
-    let events = obs::drain_events();
-    if !events.is_empty() && std::fs::create_dir_all(format!("{dir}/obs")).is_ok() {
-        let path = format!("{dir}/obs/{run}.events.json");
-        match std::fs::write(&path, obs::events_to_json(&events).to_pretty()) {
-            Ok(()) => println!("events: {path}"),
-            Err(e) => eprintln!("events write failed: {e}"),
         }
     }
     Ok(())

@@ -59,7 +59,6 @@ fn snapshot(run: &str, counters: &[(&str, u64)], bench_batches: &[f64]) -> Value
         ("gauges", Value::object::<&str>([])),
         ("histograms", Value::object::<&str>([])),
         ("benches", benches),
-        ("dropped_events", Value::from(0u64)),
     ])
 }
 

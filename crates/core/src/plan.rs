@@ -14,8 +14,7 @@ use relaxfault_dram::{AddressMap, DramConfig, DramLoc, RankId};
 use relaxfault_faults::{Extent, FaultRegion, IdxSet, Rect};
 use relaxfault_util::bits::EchelonBasis;
 use relaxfault_util::hash::{FxHashMap, FxHashSet};
-use relaxfault_util::obs::{self, Counter, Histogram, Level};
-use relaxfault_util::trace_event;
+use relaxfault_util::obs::{self, Counter, Histogram};
 use std::sync::OnceLock;
 
 /// Per-mechanism repair-planning telemetry. Updates are a relaxed load
@@ -45,7 +44,7 @@ impl PlanMetrics {
         }
     }
 
-    fn record(&self, mech: &'static str, outcome: RepairOutcome, lines: u64) {
+    fn record(&self, outcome: RepairOutcome, lines: u64) {
         self.attempts.inc();
         match outcome {
             RepairOutcome::Accepted => {
@@ -55,8 +54,6 @@ impl PlanMetrics {
             RepairOutcome::RejectedCapacity => self.rejected_capacity.inc(),
             RepairOutcome::RejectedConflict => self.rejected_conflict.inc(),
         }
-        trace_event!(target: "plan", Level::Debug, "repair_attempt",
-            mech = mech, outcome = outcome.key(), lines = lines);
     }
 }
 
@@ -65,16 +62,6 @@ enum RepairOutcome {
     Accepted,
     RejectedCapacity,
     RejectedConflict,
-}
-
-impl RepairOutcome {
-    fn key(self) -> &'static str {
-        match self {
-            RepairOutcome::Accepted => "accepted",
-            RepairOutcome::RejectedCapacity => "rejected-capacity",
-            RepairOutcome::RejectedConflict => "rejected-conflict",
-        }
-    }
 }
 
 fn relaxfault_metrics() -> &'static PlanMetrics {
@@ -777,7 +764,7 @@ impl<L: LineLayout> LlcPlanner<L> {
         let need = self.space.lines_needed(regions);
         if need > self.occ.budget_ceiling() {
             // Whole-bank-scale fault: fail before enumerating.
-            metrics.record(L::NAME, RepairOutcome::RejectedCapacity, need);
+            metrics.record(RepairOutcome::RejectedCapacity, need);
             return false;
         }
         if self.pending.is_none() && self.occ.lines_used() == 0 {
@@ -790,9 +777,9 @@ impl<L: LineLayout> LlcPlanner<L> {
                         max_ways: fullest as u32,
                     });
                     metrics.deferred.inc();
-                    metrics.record(L::NAME, RepairOutcome::Accepted, need);
+                    metrics.record(RepairOutcome::Accepted, need);
                 } else {
-                    metrics.record(L::NAME, RepairOutcome::RejectedConflict, 0);
+                    metrics.record(RepairOutcome::RejectedConflict, 0);
                 }
                 return ok;
             }
@@ -805,7 +792,7 @@ impl<L: LineLayout> LlcPlanner<L> {
         } else {
             RepairOutcome::RejectedConflict
         };
-        metrics.record(L::NAME, outcome, self.occ.lines_used() - before);
+        metrics.record(outcome, self.occ.lines_used() - before);
         ok
     }
 
@@ -1223,7 +1210,7 @@ impl RepairMechanism for Ppr {
 
     fn try_repair_with(&mut self, regions: &[FaultRegion], scratch: &mut PlanScratch) -> bool {
         if !self.rows_needed(regions, &mut scratch.rows) {
-            ppr_metrics().record("PPR", RepairOutcome::RejectedCapacity, 0);
+            ppr_metrics().record(RepairOutcome::RejectedCapacity, 0);
             return false;
         }
         // Check pass: rows are sorted, so each (rank, device, bank group)
@@ -1248,7 +1235,7 @@ impl RepairMechanism for Ppr {
                 && self.used.get(&(flat, device, group)).copied().unwrap_or(0) + fresh
                     > self.spares_per_group
             {
-                ppr_metrics().record("PPR", RepairOutcome::RejectedConflict, 0);
+                ppr_metrics().record(RepairOutcome::RejectedConflict, 0);
                 return false;
             }
             i = j;
@@ -1264,7 +1251,7 @@ impl RepairMechanism for Ppr {
                 spares += 1;
             }
         }
-        ppr_metrics().record("PPR", RepairOutcome::Accepted, spares);
+        ppr_metrics().record(RepairOutcome::Accepted, spares);
         true
     }
 

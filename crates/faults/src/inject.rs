@@ -15,9 +15,8 @@ use crate::modes::{FaultMode, FitRates, Transience, HOURS_PER_YEAR};
 use crate::region::{FaultRegion, RegionList};
 use relaxfault_dram::{DramConfig, RankId};
 use relaxfault_util::dist::{poisson, LogNormal};
-use relaxfault_util::obs::{self, Counter, Level};
+use relaxfault_util::obs::{self, Counter};
 use relaxfault_util::rng::Rng;
-use relaxfault_util::trace_event;
 use std::sync::OnceLock;
 
 /// The reliability-variation knobs of §4.1.2.
@@ -88,7 +87,7 @@ fn inject_metrics() -> &'static InjectMetrics {
 }
 
 /// Records one injected fault in the observability layer (counters per
-/// mode plus a trace-level event). Free when observability is disabled.
+/// mode). Free when observability is disabled.
 pub(crate) fn record_injection(event: &FaultEvent) {
     let m = inject_metrics();
     m.total.inc();
@@ -96,11 +95,6 @@ pub(crate) fn record_injection(event: &FaultEvent) {
         m.permanent.inc();
     }
     m.by_mode[event.mode as usize].inc();
-    trace_event!(target: "faults", Level::Trace, "inject",
-        mode = event.mode.key(),
-        permanent = event.is_permanent(),
-        regions = event.regions.len(),
-        time_hours = event.time_hours);
 }
 
 /// One fault occurrence in a node's lifetime.

@@ -23,10 +23,9 @@ use crate::metrics::{CoreStats, SimResult};
 use crate::workload::{AddressStream, Workload};
 use relaxfault_cache::Cache;
 use relaxfault_dram::{AddressMap, DramCmd, OpCounts, PhysAddr, RankTiming};
-use relaxfault_util::obs::{self, Level};
+use relaxfault_util::obs;
 use relaxfault_util::rng::Rng;
 use relaxfault_util::rng::Rng64;
-use relaxfault_util::trace_event;
 use std::collections::VecDeque;
 
 /// One channel's banks and counters.
@@ -232,7 +231,7 @@ impl Simulation {
 
 /// Publishes one finished simulation's LLC and DRAM telemetry.
 fn record_run(cfg: &SimConfig, workload: &Workload, locked_lines: u64, seed: u64, r: &SimResult) {
-    if !obs::metrics_enabled() && !obs::enabled("perfsim", Level::Info) {
+    if !obs::metrics_enabled() {
         return;
     }
     // Fold the machine config and workload into the run manifest so a
@@ -253,15 +252,6 @@ fn record_run(cfg: &SimConfig, workload: &Workload, locked_lines: u64, seed: u64
     obs::counter("perfsim.dram.activates").add(r.op_counts.activates);
     obs::counter("perfsim.dram.precharges").add(r.op_counts.precharges);
     obs::counter("perfsim.dram.refreshes").add(r.op_counts.refreshes);
-    trace_event!(target: "perfsim", Level::Info, "sim_run",
-        workload = workload.name.as_str(),
-        cores = workload.cores.len(),
-        locked_lines = locked_lines,
-        elapsed_cycles = r.elapsed_cycles,
-        llc_hits = r.llc_stats.hits,
-        llc_misses = r.llc_stats.misses,
-        dram_reads = r.op_counts.reads,
-        dram_writes = r.op_counts.writes);
 }
 
 /// Advances one core past its next memory operation.

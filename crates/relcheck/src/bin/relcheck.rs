@@ -22,7 +22,6 @@ use relaxfault_relcheck::replay::{
     load_any, replay, replay_crash_dump, replay_fleet, LoadedCase, ReplayReport,
 };
 use relaxfault_relcheck::{run_smoke, run_thread_matrix};
-use relaxfault_util::obs;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -64,11 +63,6 @@ fn main() -> ExitCode {
             let Some(path) = args.get(1) else {
                 return usage();
             };
-            // A replay is a debugging session: force tracing on so the
-            // re-executed trial narrates what it does.
-            if std::env::var("RF_TRACE").is_err() {
-                obs::set_filter("debug").expect("'debug' is a valid filter spec");
-            }
             let loaded = match load_any(Path::new(path)) {
                 Ok(c) => c,
                 Err(e) => {

@@ -24,9 +24,9 @@
 //!
 //! The `relcheck` binary drives the entry points CI uses:
 //! `relcheck smoke` runs every oracle property at a reduced case count,
-//! `relcheck replay <case.json>` re-executes a persisted failure with
-//! tracing forced on, and `relcheck thread-matrix` emits the thread
-//! determinism verdict JSON.
+//! `relcheck replay <case.json>` re-executes a persisted failure and
+//! prints each arm's outcome, and `relcheck thread-matrix` emits the
+//! thread determinism verdict JSON.
 
 pub mod gen;
 pub mod oracle;

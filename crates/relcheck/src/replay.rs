@@ -402,7 +402,6 @@ mod tests {
                 ("gauges", empty()),
                 ("histograms", empty()),
             ]),
-            flight: Value::Array(Vec::new()),
             checkpoint,
         }
     }

@@ -11,10 +11,9 @@ use crate::repro::{trial_digest, ReproCase};
 use crate::scenario::Scenario;
 use relaxfault_dram::DramConfig;
 use relaxfault_faults::{FaultMode, FaultModel, FaultSampler, NodeFaults};
-use relaxfault_util::obs::{self, Counter, Histogram, Level};
+use relaxfault_util::obs::{self, Counter, Histogram};
 use relaxfault_util::rng::{mix64, Rng64};
 use relaxfault_util::stats::{wilson_interval, Ecdf};
-use relaxfault_util::trace_event;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -407,9 +406,6 @@ impl<'a> Worker<'a> {
         let scenarios = self.scenarios;
         let groups = self.groups;
         let members = &groups[gi].1;
-        // Deterministic merge key for every event this trial/group emits,
-        // on any worker thread.
-        let _obs_scope = obs::scope(trial, gi as u64);
         let _trial_span = self.metrics.trial_ns.start_span();
         self.samplers[gi].sample_faulty_into(sample_rng, &mut self.node);
         if self.check_on {
@@ -443,16 +439,6 @@ impl<'a> Worker<'a> {
             let out = self
                 .arms
                 .replay(scenarios, si, &self.node.events, &mut eval_rng);
-            if out.faulty {
-                trace_event!(target: "relsim", Level::Debug, "trial_eval",
-                arm = si,
-                repaired = out.fully_repaired,
-                permanent_faults = out.permanent_faults,
-                unrepaired = out.unrepaired_faults,
-                dues = out.dues,
-                sdcs = out.sdcs,
-                replacements = out.replacements);
-            }
             let r = &mut self.local[si];
             r.trials += 1;
             r.faulty_nodes += out.faulty as u64;
@@ -577,9 +563,7 @@ pub fn run_prefixes(
         "cuts {cuts:?} must be nondecreasing and end at run.trials = {}",
         run.trials
     );
-    trace_event!(target: "relsim", Level::Info, "run_start",
-        arms = scenarios.len(), trials = run.trials, seed = run.seed);
-    if obs::metrics_enabled() || obs::enabled("relsim", Level::Info) {
+    if obs::metrics_enabled() {
         // Fold the full scenario configuration and trial count into one
         // hash so the run manifest records *what* was simulated. Gated so
         // the disabled path stays free of JSON serialization.
@@ -624,15 +608,6 @@ pub fn run_prefixes(
         if k + 1 < cuts.len() {
             cumulative.push(results.clone());
         }
-    }
-    for r in &results {
-        trace_event!(target: "relsim", Level::Info, "arm_result",
-            label = r.label.as_str(),
-            faulty = r.faulty_nodes,
-            repaired = r.fully_repaired_nodes,
-            dues = r.dues,
-            sdcs = r.sdcs,
-            replacements = r.replacements);
     }
     publish_outcomes(&results);
     cumulative.push(results);
@@ -691,7 +666,6 @@ pub fn fault_population(model: &FaultModel, cfg: &DramConfig, run: &RunConfig) -
             if sampler.trial_is_clean(&mut rng) {
                 return;
             }
-            let _obs_scope = obs::scope(trial, 0);
             sampler.sample_faulty_into(&mut rng, node);
             if !node.is_faulty() {
                 return;
@@ -736,11 +710,11 @@ mod tests {
         // thread, and the chunk queue changes only *which worker* runs a
         // trial. The grid includes a chunk of 1 (maximal stealing) and one
         // larger than the whole run (one worker does everything). The
-        // companion contract — the merged *trace stream* is byte-identical
-        // across thread counts — is asserted in the workspace-level
-        // `tests/obs_determinism.rs`, which owns a whole process (the
-        // trace filter is process-global and would leak into the unit
-        // tests running in parallel here).
+        // companion contract — the metrics snapshot's counters are
+        // identical across thread counts — is asserted in the
+        // workspace-level `tests/obs_determinism.rs`, which owns a whole
+        // process (the metrics registry is process-global and would leak
+        // into the unit tests running in parallel here).
         let arms = vec![
             Scenario::isca16_baseline()
                 .with_mechanism(Mechanism::RelaxFault { max_ways: 1 })

@@ -45,10 +45,9 @@ use relaxfault_faults::arrivals::ArrivalCursor;
 use relaxfault_faults::modes::HOURS_PER_YEAR;
 use relaxfault_faults::{FaultSampler, NodeFaults};
 use relaxfault_util::json::Value;
-use relaxfault_util::obs::{self, Level};
+use relaxfault_util::obs;
 use relaxfault_util::persist::{self, Persist};
 use relaxfault_util::rng::Rng64;
-use relaxfault_util::trace_event;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -328,7 +327,7 @@ impl FleetMetrics {
             replacements: persist::parse_u64_field(v, "replacements")?,
             unrepaired_faults: persist::parse_u64_field(v, "unrepaired_faults")?,
             permanent_faults: persist::parse_u64_field(v, "permanent_faults")?,
-            max_ways_seen: persist::parse_u64_field(v, "max_ways_seen")? as u32,
+            max_ways_seen: persist::parse_u32_field(v, "max_ways_seen")?,
             unrepaired_by_mode,
         })
     }
@@ -441,9 +440,9 @@ impl Persist for FleetCheckpoint {
         let ckpt = Self {
             seed: persist::parse_hex_field(v, "seed")?,
             nodes: persist::parse_u64_field(v, "nodes")?,
-            epochs: persist::parse_u64_field(v, "epochs")? as u32,
-            shards: persist::parse_u64_field(v, "shards")? as u32,
-            completed_epochs: persist::parse_u64_field(v, "completed_epochs")? as u32,
+            epochs: persist::parse_u32_field(v, "epochs")?,
+            shards: persist::parse_u32_field(v, "shards")?,
+            completed_epochs: persist::parse_u32_field(v, "completed_epochs")?,
             config_digest: persist::parse_hex_field(v, "config_digest")?,
             dirty_evals: persist::parse_u64_field(v, "dirty_evals")?,
             scenarios,
@@ -674,10 +673,6 @@ impl FleetSim {
             })
             .collect();
 
-        trace_event!(target: "relsim", Level::Info, "fleet_init",
-            nodes = cfg.nodes, epochs = cfg.epochs, shards = shard_count,
-            seed = cfg.seed);
-
         // Init scan: workers steal shards; results live in the shard, so
         // which worker scanned it never matters.
         let threads = cfg.threads.max(1);
@@ -703,7 +698,6 @@ impl FleetSim {
                             if sampler.trial_is_clean(&mut rng) {
                                 continue;
                             }
-                            let _scope = obs::scope(trial, 0);
                             let mut node = NodeFaults::default();
                             sampler.sample_faulty_into(&mut rng, &mut node);
                             let digest = trial_digest(&node);
@@ -843,13 +837,9 @@ impl FleetSim {
         };
 
         let dirty_before = self.dirty_evals();
-        // The span feeds the epoch histogram; the gauges record
-        // within-epoch progress while workers are still running.
+        // The span feeds the epoch histogram, which counts every epoch
+        // entered, a crashed one included.
         let _epoch_span = obs::span("relsim.fleet.epoch_ns");
-        obs::gauge("fleet.current_epoch").set(epoch as f64);
-        let shards_done_gauge = obs::gauge("fleet.epoch_shards_done");
-        shards_done_gauge.set(0.0);
-        let shards_done = AtomicUsize::new(0);
         let threads = self.threads.max(1);
         let next = AtomicUsize::new(0);
         let seed = self.seed;
@@ -858,8 +848,6 @@ impl FleetSim {
                 let next = &next;
                 let shards = &self.shards;
                 let scenarios = &self.scenarios;
-                let shards_done = &shards_done;
-                let shards_done_gauge = shards_done_gauge.clone();
                 scope.spawn(move || {
                     let mut arms = ArmScratch::new(scenarios);
                     let all: Vec<usize> = (0..scenarios.len()).collect();
@@ -888,8 +876,6 @@ impl FleetSim {
                                 shard.metrics[ai].absorb(&out_new, &out_old);
                             }
                         }
-                        shards_done_gauge
-                            .set(shards_done.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
                     }
                 });
             }
@@ -900,8 +886,6 @@ impl FleetSim {
         }
         self.completed_epochs += 1;
         self.epoch_dirty.push(self.dirty_evals() - dirty_before);
-        trace_event!(target: "relsim", Level::Debug, "fleet_epoch",
-            epoch = epoch, dirty = *self.epoch_dirty.last().expect("just pushed"));
         if self.ckpt_dir.is_some() {
             self.write_checkpoint()?;
         }

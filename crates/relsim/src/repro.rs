@@ -11,10 +11,9 @@
 //! epoch the failure surfaced in.
 //!
 //! The `relcheck replay` binary (in `crates/relcheck`) loads a case,
-//! forces tracing on, replays the `(seed, trial, group)` RNG streams, and
-//! compares a digest of the resampled fault population against the one
-//! recorded at failure time — equality proves the reproduction is
-//! bit-exact.
+//! replays the `(seed, trial, group)` RNG streams, and compares a digest
+//! of the resampled fault population against the one recorded at failure
+//! time — equality proves the reproduction is bit-exact.
 //!
 //! Repro cases share their persistence contract (schema-versioned kind
 //! header, atomic writes, path-contextualized loads) with fleet

@@ -5,6 +5,7 @@ use relaxfault_dram::DramConfig;
 use relaxfault_ecc::EccModel;
 use relaxfault_faults::{FaultModel, FitRates};
 use relaxfault_util::json::Value;
+use relaxfault_util::persist;
 
 /// Which repair mechanism a scenario applies to each newly discovered
 /// permanent fault.
@@ -75,16 +76,15 @@ impl Mechanism {
     }
 
     /// Parses a mechanism from the object form produced by [`Self::to_json`].
+    /// Every parameter must be an integer that fits in a `u32`; whether it
+    /// fits the geometry is [`Scenario::from_json`]'s check.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         let kind = v
             .get("kind")
             .and_then(Value::as_str)
             .ok_or("mechanism needs a string \"kind\"")?;
         let field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .map(|f| f as u32)
-                .ok_or_else(|| format!("mechanism \"{kind}\" needs a numeric \"{key}\""))
+            persist::parse_u32_field(v, key).map_err(|e| format!("mechanism \"{kind}\": {e}"))
         };
         match kind {
             "none" => Ok(Mechanism::None),
@@ -258,7 +258,9 @@ impl Scenario {
 
     /// Builds an arm from a JSON config object: the paper baseline with
     /// the object's overrides applied. All keys are optional; unknown
-    /// keys are rejected so config typos fail loudly.
+    /// keys are rejected so config typos fail loudly, and so is a
+    /// mechanism the planners cannot be built for (a way limit outside
+    /// `1..=llc.ways`, or a PPR bank group outside `1..=dram.banks`).
     pub fn from_json(v: &Value) -> Result<Self, String> {
         let pairs = match v {
             Value::Object(pairs) => pairs,
@@ -283,6 +285,18 @@ impl Scenario {
                 }
                 other => return Err(format!("unknown scenario config key {other:?}")),
             }
+        }
+        let (key, value, max) = match scenario.mechanism {
+            Mechanism::RelaxFault { max_ways } | Mechanism::FreeFault { max_ways } => {
+                ("max_ways", max_ways, scenario.llc.ways)
+            }
+            Mechanism::PprCustom {
+                banks_per_group, ..
+            } => ("banks_per_group", banks_per_group, scenario.dram.banks),
+            Mechanism::None | Mechanism::Ppr => return Ok(scenario),
+        };
+        if !(1..=max).contains(&value) {
+            return Err(format!("\"{key}\" must be in 1..={max}, got {value}"));
         }
         Ok(scenario)
     }

@@ -1,25 +1,19 @@
 //! Crash dumps: copy the telemetry out on the way down.
 //!
 //! A multi-minute fleet run that panics (or hits the injected
-//! `RF_FLEET_CRASH_AT` death) used to lose every event since start —
-//! snapshots only materialize at clean exit. A [`CrashDump`] freezes what
-//! the process knows at the moment of death into one
-//! schema-versioned [`Persist`] artifact at
-//! `results/obs/<run>.crashdump.json`:
+//! `RF_FLEET_CRASH_AT` death) would lose its metrics — snapshots only
+//! materialize at clean exit. A [`CrashDump`] freezes what the process
+//! knows at the moment of death into one schema-versioned [`Persist`]
+//! artifact at `results/obs/<run>.crashdump.json`:
 //!
 //! ```json
-//! {"schema_version": 1, "kind": "crash_dump", "run": "...",
+//! {"schema_version": 2, "kind": "crash_dump", "run": "...",
 //!  "reason": "...", "wall_clock_ms": ...,
 //!  "snapshot": { ... the full obs snapshot, manifest embedded ... },
-//!  "flight":   [ ... newest trace events, merged-trace JSON schema ... ],
 //!  "checkpoint": { ... embedded fleet_checkpoint document or null ... }}
 //! ```
 //!
-//! `flight` holds the trace rings' contents as read by
-//! [`obs::peek_events`] (empty unless `RF_TRACE` captured events); the
-//! read does not consume them, so a panic caught on a worker thread
-//! leaves the trace intact for the run's own exporter. Span timings live
-//! in the snapshot's histograms.
+//! Span timings live in the snapshot's histograms.
 //!
 //! The embedded checkpoint is what makes a dump *actionable* rather than
 //! merely descriptive: it carries the `(seed, epoch, shard-digest)`
@@ -55,9 +49,6 @@ pub struct CrashDump {
     pub wall_clock_ms: u64,
     /// The full obs snapshot (counters, gauges, histograms, manifest).
     pub snapshot: Value,
-    /// The newest trace events in the merged-trace JSON schema (the key
-    /// keeps its historical name so older dumps still load).
-    pub flight: Value,
     /// The newest durable `fleet_checkpoint` document, when the dying run
     /// was a fleet simulation with checkpointing enabled.
     pub checkpoint: Option<Value>,
@@ -65,7 +56,7 @@ pub struct CrashDump {
 
 impl Persist for CrashDump {
     const KIND: &'static str = KIND;
-    const SCHEMA_VERSION: u64 = 1;
+    const SCHEMA_VERSION: u64 = 2;
 
     fn to_json(&self) -> Value {
         Value::object([
@@ -75,7 +66,6 @@ impl Persist for CrashDump {
             ("reason", Value::from(self.reason.as_str())),
             ("wall_clock_ms", Value::from(self.wall_clock_ms)),
             ("snapshot", self.snapshot.clone()),
-            ("flight", self.flight.clone()),
             ("checkpoint", self.checkpoint.clone().unwrap_or(Value::Null)),
         ])
     }
@@ -103,10 +93,6 @@ impl Persist for CrashDump {
                 return Err(format!("snapshot missing its {section} section"));
             }
         }
-        let flight = v.get("flight").cloned().ok_or("missing flight")?;
-        if flight.as_array().is_none() {
-            return Err("flight must be an array of events".into());
-        }
         let checkpoint = match v.get("checkpoint") {
             None | Some(Value::Null) => None,
             Some(ckpt) => {
@@ -121,23 +107,19 @@ impl Persist for CrashDump {
             reason,
             wall_clock_ms,
             snapshot,
-            flight,
             checkpoint,
         })
     }
 }
 
 impl CrashDump {
-    /// Captures a dump: the obs snapshot, a non-consuming copy of the
-    /// trace rings (as merged-trace JSON), and the given durable
-    /// checkpoint.
+    /// Captures a dump: the obs snapshot and the given durable checkpoint.
     pub fn collect(run: &str, reason: &str, checkpoint: Option<Value>) -> CrashDump {
         CrashDump {
             run: run.to_string(),
             reason: reason.to_string(),
             wall_clock_ms: obs::now_ms(),
             snapshot: obs::snapshot(),
-            flight: obs::events_to_json(&obs::peek_events()),
             checkpoint,
         }
     }
@@ -209,17 +191,12 @@ fn panic_reason(info: &std::panic::PanicHookInfo<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace_event;
 
     fn sample_dump() -> CrashDump {
         let _serial = obs::exclusive();
         obs::reset();
-        obs::set_filter("crashtest=debug").unwrap();
+        obs::set_metrics_enabled(true);
         obs::counter("crashtest.steps").add(5);
-        {
-            let _scope = obs::scope(2, 0);
-            trace_event!(target: "crashtest", obs::Level::Debug, "last_words", step = 5u64);
-        }
         let dump = CrashDump::collect(
             "crashtest",
             "simulated death",
@@ -228,7 +205,6 @@ mod tests {
                 ("schema_version", Value::from(1u64)),
             ])),
         );
-        obs::set_filter("").unwrap();
         obs::set_metrics_enabled(false);
         obs::reset();
         dump
@@ -239,34 +215,13 @@ mod tests {
         let dump = sample_dump();
         let back = CrashDump::parse_str(&dump.to_json().to_pretty()).expect("roundtrip");
         assert_eq!(back, dump);
-        assert!(back.flight.as_array().is_some_and(|a| !a.is_empty()));
+        let steps = back
+            .snapshot
+            .get("counters")
+            .and_then(|c| c.get("crashtest.steps"))
+            .and_then(Value::as_f64);
+        assert_eq!(steps, Some(5.0), "the snapshot carries the counters");
         assert!(back.checkpoint.is_some());
-    }
-
-    #[test]
-    fn dump_copies_the_trace_without_consuming_it() {
-        let _serial = obs::exclusive();
-        obs::reset();
-        obs::set_filter("crashtest=debug").unwrap();
-        std::thread::scope(|s| {
-            for trial in [2u64, 0, 1] {
-                s.spawn(move || {
-                    let _scope = obs::scope(trial, 0);
-                    trace_event!(target: "crashtest", obs::Level::Debug, "step", trial = trial);
-                });
-            }
-        });
-        let dump = CrashDump::collect("crashtest3", "simulated death", None);
-        let drained = obs::drain_events();
-        obs::set_filter("").unwrap();
-        obs::set_metrics_enabled(false);
-        obs::reset();
-        assert_eq!(drained.len(), 3, "collecting the dump consumed events");
-        assert_eq!(
-            dump.flight.to_pretty(),
-            obs::events_to_json(&drained).to_pretty(),
-            "the dump's flight array and the later drain disagree"
-        );
     }
 
     #[test]
@@ -299,6 +254,11 @@ mod tests {
             CrashDump::from_json(&doc).is_err(),
             "non-object checkpoint accepted"
         );
+        let mut doc = dump.to_json();
+        doc.set("schema_version", Value::from(1u64));
+        doc.set("flight", Value::Array(Vec::new()));
+        let err = CrashDump::from_json(&doc).expect_err("schema 1 dump accepted");
+        assert!(err.contains("schema version 1"), "unexpected error: {err}");
     }
 
     #[test]

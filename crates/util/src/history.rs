@@ -377,9 +377,8 @@ impl Ledger {
     }
 
     /// Ingests every metrics snapshot under `<results_dir>/obs/` into the
-    /// ledger at [`Ledger::default_path`]. Event streams
-    /// (`<run>.events.json`) and non-JSON files are passed over; other
-    /// non-snapshot artifacts (crash dumps, repro cases, progress
+    /// ledger at [`Ledger::default_path`]. Non-JSON files are passed over;
+    /// other non-snapshot artifacts (crash dumps, repro cases, progress
     /// documents) are skipped and listed in the report; snapshots already
     /// ledgered count as duplicates. Running this twice over an unchanged
     /// tree leaves the ledger file byte-identical.
@@ -405,7 +404,7 @@ impl Ledger {
                 .file_name()
                 .and_then(|n| n.to_str())
                 .unwrap_or_default();
-            if !name.ends_with(".json") || name.ends_with(".events.json") {
+            if !name.ends_with(".json") {
                 continue; // not snapshot-shaped; other validators own these
             }
             let parsed = std::fs::read_to_string(&path)
@@ -631,8 +630,7 @@ mod tests {
               "gauges": {{}},
               "histograms": {{}},
               "benches": {{"engine_hot.fig10_mix": {{"median_ns": {median}, "iters": 10,
-                           "batch_ns": [{median}]}}}},
-              "dropped_events": 0
+                           "batch_ns": [{median}]}}}}
             }}"#,
             v = obs::SCHEMA_VERSION
         ))
@@ -693,9 +691,7 @@ mod tests {
             )
             .expect("write snapshot");
         }
-        // Non-snapshot artifacts are skipped, not fatal; event streams
-        // are not even reported.
-        std::fs::write(dir.join("obs/run_a.events.json"), "[]").expect("write");
+        // Non-snapshot artifacts are skipped, not fatal.
         std::fs::write(dir.join("obs/junk.json"), "{\"kind\": \"crash_dump\"}").expect("write");
 
         let (ledger, report) = Ledger::ingest_dir(results).expect("first ingest");

@@ -21,11 +21,10 @@
 //!   choice stream, with shrinking) the invariant suites run on.
 //! * [`json`] — a minimal JSON value/emitter/parser for machine-readable
 //!   results and scenario dumps.
-//! * [`obs`] — structured observability: leveled event tracing into
-//!   bounded per-thread rings with a deterministic merged stream, a
-//!   metrics registry (counters, gauges, log-linear histograms), RAII span
-//!   timers, and text/JSON sinks, all gated to be free when disabled.
-//! * [`crashdump`] — copies the trace rings, metrics, and manifest into a
+//! * [`obs`] — observability: a metrics registry (counters, gauges,
+//!   log-linear histograms), RAII span timers, run manifests, and a JSON
+//!   snapshot sink, all gated to be free when disabled.
+//! * [`crashdump`] — copies the metrics and manifest into a
 //!   schema-versioned `crash_dump` artifact on panic or injected crash,
 //!   with the newest durable fleet checkpoint embedded for replay.
 //! * [`history`] — the append-only cross-run perf-history ledger, the

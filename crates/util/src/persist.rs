@@ -218,6 +218,18 @@ pub fn parse_u64_field(v: &Value, key: &str) -> Result<u64, String> {
     Ok(n as u64)
 }
 
+/// Reads field `key` of object `v` as a `u32`: [`parse_u64_field`], then
+/// a checked narrowing, so an out-of-range count is an error rather than
+/// a silent wrap.
+///
+/// # Errors
+///
+/// Reports the field name when missing, malformed or above `u32::MAX`.
+pub fn parse_u32_field(v: &Value, key: &str) -> Result<u32, String> {
+    let n = parse_u64_field(v, key)?;
+    u32::try_from(n).map_err(|_| format!("{key} must fit in 32 bits, got {n}"))
+}
+
 /// Order-sensitive digest fold: absorbs `next` into the accumulator the
 /// same way the obs manifest folds config hashes (FNV-1a over the
 /// concatenated little-endian words). Folding a sequence of per-item
@@ -358,6 +370,14 @@ mod tests {
         assert!(parse_u64_field(&v, "big").is_err());
         assert_eq!(parse_u64_field(&v, "ok").unwrap(), 12);
         assert!(parse_u64_field(&v, "absent").is_err());
+        let v = Value::object([
+            ("wide", Value::from(4_294_967_298u64)),
+            ("max", Value::from(u64::from(u32::MAX))),
+            ("frac", Value::from(2.5)),
+        ]);
+        assert!(parse_u32_field(&v, "wide").unwrap_err().contains("wide"));
+        assert_eq!(parse_u32_field(&v, "max").unwrap(), u32::MAX);
+        assert!(parse_u32_field(&v, "frac").is_err());
     }
 
     #[test]

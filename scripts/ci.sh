@@ -13,11 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --workspace --release
 cargo test --workspace -q
 
-# Observability gate: re-run the smoke scenario with tracing on; it must
+# Observability gate: re-run the smoke scenario with metrics on; it must
 # emit a metrics snapshot under results/obs/ that parses with the strict
 # in-repo JSON parser and carries the required top-level keys.
 rm -rf results/obs
-RF_TRACE=relsim=debug cargo test -q --test smoke
+RF_OBS=on cargo test -q --test smoke
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/obs
 
 # Determinism drift gate: the same pinned-seed scenario twice must produce
@@ -158,7 +158,7 @@ if cargo run --release -q -p relaxfault-bench --bin obs_validate \
 fi
 
 # Final sweep: everything the CI runs above dropped in results/ci/obs
-# (snapshots, event streams, crash dumps) must validate.
+# (snapshots and crash dumps) must validate.
 cargo run --release -q -p relaxfault-bench --bin obs_validate results/ci/obs \
     || { echo "obs gate: results/ci/obs failed validation" >&2; exit 4; }
 

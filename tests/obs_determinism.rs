@@ -1,9 +1,9 @@
-//! The observability determinism contract, end to end: with tracing on,
-//! the merged event stream of a Monte Carlo run is *byte-identical* across
-//! thread counts, because events are merged on `(trial, group, seq)` —
-//! never on which worker thread emitted them. Lives in its own
-//! integration-test process so the process-wide trace filter cannot leak
-//! into unrelated unit tests.
+//! The observability determinism contract, end to end: with metrics on,
+//! the snapshot's counters, gauges and histogram counts of a Monte Carlo
+//! run are identical across thread counts, because every trial is a pure
+//! function of `(seed, trial, group)` and sums commute — which worker ran
+//! a trial never shows. Lives in its own integration-test process so the
+//! process-wide metrics registry cannot leak into unrelated unit tests.
 
 use relaxfault::faults::FaultMode;
 use relaxfault::prelude::*;
@@ -20,46 +20,69 @@ fn smoke_arms() -> Vec<Scenario> {
         .with_fit_scale(10.0)]
 }
 
-#[test]
-fn merged_trace_stream_is_byte_identical_across_thread_counts() {
-    let _serial = obs::exclusive();
-    obs::reset();
-    obs::set_filter("relsim=debug,faults=trace").expect("valid filter");
-
-    let arms = smoke_arms();
-    let mut reference: Option<(Vec<ScenarioResult>, String)> = None;
-    for threads in [1usize, 2, 4] {
-        obs::reset();
-        let results = run_scenarios(
-            &arms,
-            &RunConfig {
-                trials: 200,
-                seed: 2016,
-                threads,
-                chunk_size: 0,
-            },
-        );
-        assert_eq!(obs::dropped_events(), 0, "stream truncated at {threads}");
-        let events = obs::drain_events();
-        assert!(
-            events.iter().any(|e| e.name == "trial_eval"),
-            "no per-trial events at threads={threads}"
-        );
-        assert!(events.iter().any(|e| e.name == "inject"));
-        let text = obs::render_text(&events);
-        match &reference {
-            None => reference = Some((results, text)),
-            Some((r0, t0)) => {
-                assert_eq!(&results, r0, "results diverged at threads={threads}");
-                assert_eq!(
-                    &text, t0,
-                    "merged trace stream diverged at threads={threads}"
-                );
-            }
+/// The snapshot's deterministic content: every counter and gauge, and
+/// each histogram's count (span timings vary, how many there were not).
+fn deterministic_metrics(snap: &Value) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    for section in ["counters", "gauges", "histograms"] {
+        let Some(Value::Object(pairs)) = snap.get(section) else {
+            panic!("snapshot has no `{section}` object");
+        };
+        for (name, v) in pairs {
+            let v = if section == "histograms" {
+                v.get("count")
+            } else {
+                Some(v)
+            };
+            let v = v.and_then(Value::as_f64).expect("numeric metric");
+            out.push((format!("{section}.{name}"), v));
         }
     }
+    out
+}
 
-    obs::set_filter("").expect("valid filter");
+#[test]
+fn snapshot_metrics_are_identical_across_thread_counts() {
+    let _serial = obs::exclusive();
+    obs::reset();
+    obs::set_metrics_enabled(true);
+
+    // Two fault-model groups, so the (trial, group) keying is exercised.
+    let mut arms = smoke_arms();
+    arms.push(
+        Scenario::isca16_baseline()
+            .with_fit_scale(40.0)
+            .with_mechanism(Mechanism::FreeFault { max_ways: 4 }),
+    );
+    let run = |threads| {
+        obs::reset();
+        let config = RunConfig {
+            trials: 200,
+            seed: 2016,
+            threads,
+            chunk_size: 0,
+        };
+        let results = run_scenarios(&arms, &config);
+        (results, deterministic_metrics(&obs::snapshot()))
+    };
+    let (results, metrics) = run(1);
+    // The planners and the injector must have run, so their counters are
+    // part of what is compared.
+    for name in [
+        "counters.plan.relaxfault.attempts",
+        "counters.plan.freefault.attempts",
+        "counters.faults.injected_total",
+        "histograms.relsim.trial_ns",
+    ] {
+        let value = metrics.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert!(value > Some(0.0), "{name} is {value:?}");
+    }
+    for threads in [2, 4] {
+        let (r, m) = run(threads);
+        assert_eq!(r, results, "results diverged at threads={threads}");
+        assert_eq!(m, metrics, "metrics diverged at threads={threads}");
+    }
+
     obs::set_metrics_enabled(false);
     obs::reset();
 }

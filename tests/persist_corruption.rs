@@ -84,7 +84,6 @@ fn documents() -> &'static [Doc] {
             reason: "injected crash inside epoch 3".into(),
             wall_clock_ms: 1_700_000_000_000,
             snapshot: snapshot.clone(),
-            flight: Value::Array(Vec::new()),
             checkpoint: Some(ckpt.to_json()),
         };
         let ledger = FarmLedger {
@@ -214,5 +213,83 @@ fn hostile_json_is_an_error_for_every_kind() {
                 None => panic!("{}: hostile input panicked", doc.kind),
             }
         }
+    }
+}
+
+/// The value at `path` (object keys, or decimal indices into arrays).
+fn value_at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(v, |at, key| match at {
+        Value::Object(pairs) => {
+            let slot = pairs.iter_mut().find(|(k, _)| k == key);
+            &mut slot.unwrap_or_else(|| panic!("no key {key}")).1
+        }
+        Value::Array(items) => &mut items[key.parse::<usize>().expect("array index")],
+        _ => panic!("{key}: path runs into a scalar"),
+    })
+}
+
+/// Values that parse as JSON and survive the bit-flip test, yet no run
+/// could be built from: a way limit or bank group the planners assert
+/// against, and u32 counts that would wrap. Each must fail to decode —
+/// before a replay or resume gets to a planner constructor's panic.
+#[test]
+fn impossible_scenarios_and_wrapped_counts_are_rejected() {
+    let doc = |kind: &str| {
+        documents()
+            .iter()
+            .find(|d| d.kind == kind)
+            .expect("document of that kind")
+    };
+    let decode = |d: &Doc, path: &[&str], new: Value| {
+        let mut v = Value::parse(&d.text).expect("intact document parses");
+        *value_at(&mut v, path) = new;
+        guarded(d.decode, &v.to_pretty()).unwrap_or_else(|| panic!("{}: {path:?} panicked", d.kind))
+    };
+    let mechanism = |text: &str| Value::parse(text).expect("mechanism JSON");
+    let bad_mechanisms = [
+        r#"{"kind": "relaxfault", "max_ways": 0}"#,
+        r#"{"kind": "relaxfault", "max_ways": 17}"#,
+        r#"{"kind": "relaxfault", "max_ways": 2.5}"#,
+        r#"{"kind": "freefault", "max_ways": -1}"#,
+        r#"{"kind": "ppr_custom", "banks_per_group": 0, "spares_per_group": 1}"#,
+        r#"{"kind": "ppr_custom", "banks_per_group": 9, "spares_per_group": 1}"#,
+    ];
+    let good_mechanisms = [
+        r#"{"kind": "freefault", "max_ways": 16}"#,
+        r#"{"kind": "ppr_custom", "banks_per_group": 8, "spares_per_group": 1}"#,
+    ];
+    let carriers: [(&str, &[&str]); 3] = [
+        ("relcheck_repro", &["scenarios", "1", "mechanism"]),
+        ("fleet_checkpoint", &["scenarios", "1", "mechanism"]),
+        ("crash_dump", &["checkpoint", "scenarios", "1", "mechanism"]),
+    ];
+    for (kind, path) in carriers {
+        for bad in bad_mechanisms {
+            let got = decode(doc(kind), path, mechanism(bad));
+            assert!(got.is_err(), "{kind}: decoded {bad}");
+        }
+        for good in good_mechanisms {
+            let got = decode(doc(kind), path, mechanism(good));
+            assert!(got.is_ok(), "{kind}: rejected {good}: {got:?}");
+        }
+    }
+
+    // A u32 count 2^32 above its true value would wrap back onto it and
+    // pass every consistency check.
+    let ckpt = doc("fleet_checkpoint");
+    let wrapped = |path: &[&str]| {
+        let mut v = Value::parse(&ckpt.text).expect("intact checkpoint parses");
+        let count = value_at(&mut v, path).as_f64().expect("count") as u64;
+        Value::from(count + (1u64 << 32))
+    };
+    for path in [
+        &["epochs"][..],
+        &["shards"],
+        &["completed_epochs"],
+        &["shard_metrics", "0", "1", "max_ways_seen"],
+    ] {
+        let err = decode(ckpt, path, wrapped(path)).expect_err("wrapped count decoded");
+        let field = path.last().expect("non-empty path");
+        assert!(err.contains(field), "error does not name {field}: {err}");
     }
 }

@@ -38,17 +38,9 @@ fn tiny_scenario_runs_from_json_config() {
     let (lo, hi) = r.coverage_interval();
     assert!(lo <= r.coverage() && r.coverage() <= hi);
 
-    // When the run is traced (e.g. CI's `RF_TRACE=relsim=debug` pass),
-    // the engine must have emitted lifecycle events and a metrics snapshot
-    // that round-trips through the strict JSON parser.
-    if obs::enabled("relsim", obs::Level::Info) {
-        let events = obs::drain_events();
-        assert!(
-            events.iter().any(|e| e.name == "arm_result"),
-            "tracing enabled but no engine lifecycle events captured"
-        );
-        assert_eq!(obs::dropped_events(), 0);
-    }
+    // When metrics are on (e.g. CI's `RF_OBS=on` pass), the engine must
+    // leave a metrics snapshot that round-trips through the strict JSON
+    // parser.
     if obs::metrics_enabled() {
         let path = obs::write_snapshot("smoke").expect("snapshot written");
         let text = std::fs::read_to_string(&path).expect("snapshot readable");
