@@ -139,26 +139,9 @@ impl CacheConfig {
     /// (canonically `addr >> (offset+set)` bits); with XOR folding the set
     /// changes but the tag does not, so the pair remains unique per block.
     pub fn set_and_tag(&self, addr: u64) -> (u64, u64) {
-        let block = addr >> self.offset_bits();
-        let sb = self.set_bits();
-        let index = block & mask(sb);
-        let tag = block >> sb;
-        let set = match self.indexing {
-            Indexing::Canonical => index,
-            Indexing::XorFold { rotation } => {
-                let mut set = index;
-                let mut rest = tag;
-                let mut chunk_no = 1u32;
-                while rest != 0 {
-                    let chunk = rest & mask(sb);
-                    set ^= rotl(chunk, (rotation * chunk_no) % sb.max(1), sb);
-                    rest >>= sb;
-                    chunk_no += 1;
-                }
-                set
-            }
-        };
-        (set, tag)
+        let index = SetIndex::new(self);
+        let block = index.block(addr);
+        (index.set_of_block(block), block >> index.bits)
     }
 
     /// The set an address maps to.
@@ -167,12 +150,72 @@ impl CacheConfig {
     }
 }
 
-/// Rotates the low `width` bits of `v` left by `by`.
-fn rotl(v: u64, by: u32, width: u32) -> u64 {
-    if width == 0 || by.is_multiple_of(width) {
-        return v & mask(width);
+/// A config's set-index function with its shifts, mask and fold step
+/// worked out once, so that indexing an address divides nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SetIndex {
+    offset: u32,
+    bits: u32,
+    mask: u64,
+    /// XOR folding's per-chunk rotation step reduced mod `bits`; `None`
+    /// for canonical indexing and for a one-set cache, whose only set is 0.
+    fold: Option<u32>,
+}
+
+impl SetIndex {
+    /// The set-index function of `cfg`.
+    pub(crate) fn new(cfg: &CacheConfig) -> Self {
+        let bits = cfg.set_bits();
+        let fold = match cfg.indexing {
+            Indexing::XorFold { rotation } if bits > 0 => Some(rotation % bits),
+            _ => None,
+        };
+        Self {
+            offset: cfg.offset_bits(),
+            bits,
+            mask: mask(bits),
+            fold,
+        }
     }
-    let by = by % width;
+
+    /// The block address of a byte address.
+    #[inline]
+    pub(crate) fn block(&self, addr: u64) -> u64 {
+        addr >> self.offset
+    }
+
+    /// The byte address of a block.
+    #[inline]
+    pub(crate) fn addr(&self, block: u64) -> u64 {
+        block << self.offset
+    }
+
+    /// The set of a block address. Chunk `k` of the tag is rotated by
+    /// `rotation × k` mod the set bits; the rotation advances by one step
+    /// per chunk and wraps by subtraction.
+    #[inline]
+    pub(crate) fn set_of_block(&self, block: u64) -> u64 {
+        let mut set = block & self.mask;
+        if let Some(step) = self.fold {
+            let mut rest = block >> self.bits;
+            let mut by = step;
+            while rest != 0 {
+                set ^= rotl(rest & self.mask, by, self.bits);
+                rest >>= self.bits;
+                by += step;
+                if by >= self.bits {
+                    by -= self.bits;
+                }
+            }
+        }
+        set
+    }
+}
+
+/// Rotates the `width`-bit value `v` left by `by`, for `by < width < 64`
+/// (at `by` = 0 the right shift by `width` contributes nothing).
+#[inline]
+fn rotl(v: u64, by: u32, width: u32) -> u64 {
     ((v << by) | (v >> (width - by))) & mask(width)
 }
 
@@ -242,6 +285,28 @@ mod tests {
         let plain_sets: HashSet<u64> = (0..512).map(|r| plain.set_of(base | (r << 20))).collect();
         assert_eq!(plain_sets.len(), 1);
         assert_eq!(hashed_sets.len(), 512);
+    }
+
+    /// With one set there are no index bits to fold into, so every
+    /// address maps to set 0 (the fold used to shift by zero bits forever).
+    #[test]
+    fn one_set_xor_fold_maps_to_set_zero() {
+        let cfg = CacheConfig {
+            size_bytes: 1024,
+            ways: 16,
+            line_bytes: 64,
+            indexing: Indexing::XorFold { rotation: 5 },
+        };
+        cfg.validate().unwrap();
+        assert_eq!(cfg.sets(), 1);
+        for addr in [0, 0x40, 0xDEAD_BEE0, u64::MAX] {
+            assert_eq!(cfg.set_of(addr), 0);
+            assert_eq!(cfg.set_and_tag(addr), (0, addr >> 6));
+        }
+        let mut c = crate::Cache::new(cfg);
+        assert!(!c.access(0x40, false).hit);
+        assert!(c.access(0x40, true).hit);
+        assert!(!c.access(u64::MAX, false).hit);
     }
 
     #[test]

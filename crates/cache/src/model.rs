@@ -1,6 +1,6 @@
 //! The runtime cache model: LRU, dirty state, locked repair lines.
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, SetIndex};
 
 /// Outcome of a demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,17 +49,40 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    locked: bool,
-    /// RelaxFault-indicator bit (Figure 4): repair lines live in a separate
-    /// tag space and never match normal lookups.
-    repair: bool,
-    /// Full block address (so victims can be reported by address).
-    block_addr: u64,
-    lru: u64,
+/// `key` of a way that holds no normal line. A block of any cache with
+/// lines of two bytes or more is below it; with one-byte lines a block
+/// can equal it, which is why a lookup of that block also checks `age`.
+const NO_BLOCK: u64 = u64::MAX;
+
+/// `age` of a locked way: above every valid unlocked way's age, so a
+/// victim scan picks it only when the whole set is locked.
+const LOCKED: u64 = u64::MAX;
+
+/// Whether a way's `age` says it holds a valid unlocked (normal) line.
+#[inline]
+fn is_normal(age: u64) -> bool {
+    age != 0 && age != LOCKED
+}
+
+/// The first way of a set with the smallest `age`, found without
+/// branches: the first invalid way, else the least recently used
+/// unlocked one (valid unlocked ages are distinct and nonzero), else a
+/// locked way when the whole set is locked. Even and odd ways form two
+/// independent compare-and-select chains; the merge keeps the lower way
+/// on a tie.
+#[inline]
+fn oldest(age: &[u64]) -> usize {
+    let older = |best: (u64, usize), way: (u64, usize)| if way.0 < best.0 { way } else { best };
+    let (mut even, mut odd) = ((u64::MAX, 0), (u64::MAX, 0));
+    let mut pairs = age.chunks_exact(2);
+    for (k, pair) in pairs.by_ref().enumerate() {
+        even = older(even, (pair[0], 2 * k));
+        odd = older(odd, (pair[1], 2 * k + 1));
+    }
+    if let [last] = pairs.remainder() {
+        even = older(even, (*last, age.len() - 1));
+    }
+    even.min(odd).1
 }
 
 /// A set-associative cache with LRU replacement, way locking, and a
@@ -69,6 +92,14 @@ struct Line {
 /// with [`Cache::lock_repair_line`] and looked up with
 /// [`Cache::probe_repair`]. A repair line never hits a normal access and
 /// vice versa — the one-bit tag extension of the paper's Figure 4.
+///
+/// Each way is two hot words: `key` holds the block of a valid unlocked
+/// line (else `NO_BLOCK`), so a lookup reads 8 bytes per way, and `age`
+/// holds 0 for an invalid way, `(tick << 1) | dirty` for a valid unlocked
+/// one and `LOCKED` for a locked one, so a victim scan reads 8 more. Locked ways are always
+/// repair-space lines; their blocks live in the cold `repair` vector,
+/// which only [`Cache::probe_repair`] and [`Cache::lock_repair_line`]
+/// read.
 ///
 /// # Examples
 ///
@@ -82,7 +113,11 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    index: SetIndex,
+    ways: usize,
+    key: Vec<u64>,
+    age: Vec<u64>,
+    repair: Vec<u64>,
     stats: CacheStats,
     tick: u64,
 }
@@ -95,9 +130,14 @@ impl Cache {
     /// Panics if `cfg` fails [`CacheConfig::validate`].
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().expect("invalid CacheConfig");
+        let lines = cfg.total_lines() as usize;
         Self {
             cfg,
-            lines: vec![Line::default(); cfg.total_lines() as usize],
+            index: SetIndex::new(&cfg),
+            ways: cfg.ways as usize,
+            key: vec![NO_BLOCK; lines],
+            age: vec![0; lines],
+            repair: vec![0; lines],
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -118,83 +158,97 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn set_slice(&self, set: u64) -> std::ops::Range<usize> {
-        let base = set as usize * self.cfg.ways as usize;
-        base..base + self.cfg.ways as usize
+    /// The block of `addr` and the first way index of its set.
+    #[inline]
+    fn locate(&self, addr: u64) -> (u64, usize) {
+        let block = self.index.block(addr);
+        (block, self.index.set_of_block(block) as usize * self.ways)
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    fn set_slice(&self, set: u64) -> std::ops::Range<usize> {
+        let base = set as usize * self.ways;
+        base..base + self.ways
+    }
+
+    /// The way of the set at `base` holding `block` as a normal line.
+    #[inline]
+    fn find(&self, base: usize, block: u64) -> Option<usize> {
+        let w = self.key[base..base + self.ways]
+            .iter()
+            .position(|&k| k == block)?;
+        if block == NO_BLOCK {
+            return self.find_no_block(base + w);
+        }
+        Some(base + w)
+    }
+
+    /// `find` for the one block that equals the empty key (possible only
+    /// with one-byte lines), from the set's first way holding that key:
+    /// the first such way that is valid and unlocked.
+    #[cold]
+    fn find_no_block(&self, from: usize) -> Option<usize> {
+        let end = from - from % self.ways + self.ways;
+        (from..end).find(|&i| self.key[i] == NO_BLOCK && is_normal(self.age[i]))
+    }
+
+    /// The way a miss in the set at `base` fills: a locked one only when
+    /// the whole set is locked.
+    #[inline]
+    fn victim(&self, base: usize) -> usize {
+        base + oldest(&self.age[base..base + self.ways])
+    }
+
+    /// Counts and returns the writeback of unlocked way `i`'s line, if
+    /// it is valid and dirty.
+    #[inline]
+    fn writeback(&mut self, i: usize) -> Option<Evicted> {
+        (self.age[i] & 1 == 1).then(|| {
+            self.stats.writebacks += 1;
+            Evicted {
+                addr: self.index.addr(self.key[i]),
+                dirty: true,
+            }
+        })
+    }
+
+    /// Marks way `i` locked, holding `block` in the repair tag space.
+    fn lock_way(&mut self, i: usize, block: u64) {
+        self.key[i] = NO_BLOCK;
+        self.age[i] = LOCKED;
+        self.repair[i] = block;
     }
 
     /// Demand access to a byte address; allocates on miss (LRU victim among
     /// unlocked ways). Returns hit/miss, any dirty victim, and whether the
     /// access had to bypass a fully locked set.
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
-        let (set, _tag) = self.cfg.set_and_tag(addr);
-        let block = addr >> self.cfg.offset_bits();
-        let range = self.set_slice(set);
-        let tick = self.next_tick();
+        let (block, base) = self.locate(addr);
+        self.tick += 1;
+        let stamp = (self.tick << 1) | write as u64;
 
-        // Hit path: match on block address with the repair bit clear.
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            if line.valid && !line.repair && line.block_addr == block {
-                line.lru = tick;
-                line.dirty |= write;
-                self.stats.hits += 1;
-                return Access {
-                    hit: true,
-                    evicted: None,
-                    bypassed: false,
-                };
-            }
+        if let Some(i) = self.find(base, block) {
+            self.age[i] = stamp | (self.age[i] & 1);
+            self.stats.hits += 1;
+            return Access {
+                hit: true,
+                evicted: None,
+                bypassed: false,
+            };
         }
         self.stats.misses += 1;
 
-        // Victim: invalid first, else LRU among unlocked.
-        let mut victim: Option<usize> = None;
-        for i in range.clone() {
-            let line = &self.lines[i];
-            if line.locked {
-                continue;
-            }
-            if !line.valid {
-                victim = Some(i);
-                break;
-            }
-            match victim {
-                Some(v) if self.lines[v].lru <= line.lru => {}
-                _ => victim = Some(i),
-            }
-        }
-        let Some(v) = victim else {
+        let i = self.victim(base);
+        if self.age[i] == LOCKED {
             self.stats.bypasses += 1;
             return Access {
                 hit: false,
                 evicted: None,
                 bypassed: true,
             };
-        };
-        let old = self.lines[v];
-        let evicted = if old.valid && old.dirty {
-            self.stats.writebacks += 1;
-            Some(Evicted {
-                addr: old.block_addr << self.cfg.offset_bits(),
-                dirty: true,
-            })
-        } else {
-            None
-        };
-        self.lines[v] = Line {
-            valid: true,
-            dirty: write,
-            locked: false,
-            repair: false,
-            block_addr: block,
-            lru: tick,
-        };
+        }
+        let evicted = self.writeback(i);
+        self.key[i] = block;
+        self.age[i] = stamp;
         Access {
             hit: false,
             evicted,
@@ -204,12 +258,8 @@ impl Cache {
 
     /// Whether a normal block is resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, _) = self.cfg.set_and_tag(addr);
-        let block = addr >> self.cfg.offset_bits();
-        self.set_slice(set).any(|i| {
-            let l = &self.lines[i];
-            l.valid && !l.repair && l.block_addr == block
-        })
+        let (block, base) = self.locate(addr);
+        self.find(base, block).is_some()
     }
 
     /// Whether a repair-space line is resident (no state change).
@@ -218,12 +268,8 @@ impl Cache {
     /// `relaxfault-core`'s mapping); it is matched only against lines whose
     /// RelaxFault indicator is set.
     pub fn probe_repair(&self, repair_addr: u64) -> bool {
-        let (set, _) = self.cfg.set_and_tag(repair_addr);
-        let block = repair_addr >> self.cfg.offset_bits();
-        self.set_slice(set).any(|i| {
-            let l = &self.lines[i];
-            l.valid && l.repair && l.block_addr == block
-        })
+        let (block, base) = self.locate(repair_addr);
+        (base..base + self.ways).any(|i| self.age[i] == LOCKED && self.repair[i] == block)
     }
 
     /// Installs a locked repair line for `repair_addr`, evicting the LRU
@@ -237,75 +283,34 @@ impl Cache {
         if self.probe_repair(repair_addr) {
             return Err(format!("repair line {repair_addr:#x} already locked"));
         }
-        let (set, _) = self.cfg.set_and_tag(repair_addr);
-        let block = repair_addr >> self.cfg.offset_bits();
-        let range = self.set_slice(set);
-        let tick = self.next_tick();
-        let mut victim: Option<usize> = None;
-        for i in range {
-            let line = &self.lines[i];
-            if line.locked {
-                continue;
-            }
-            if !line.valid {
-                victim = Some(i);
-                break;
-            }
-            match victim {
-                Some(v) if self.lines[v].lru <= line.lru => {}
-                _ => victim = Some(i),
-            }
+        let (block, base) = self.locate(repair_addr);
+        let i = self.victim(base);
+        if self.age[i] == LOCKED {
+            return Err(format!("set {} fully locked", base / self.ways));
         }
-        let Some(v) = victim else {
-            return Err(format!("set {set} fully locked"));
-        };
-        let old = self.lines[v];
-        let evicted = if old.valid && old.dirty {
-            self.stats.writebacks += 1;
-            Some(Evicted {
-                addr: old.block_addr << self.cfg.offset_bits(),
-                dirty: true,
-            })
-        } else {
-            None
-        };
-        self.lines[v] = Line {
-            valid: true,
-            dirty: false,
-            locked: true,
-            repair: true,
-            block_addr: block,
-            lru: tick,
-        };
+        let evicted = self.writeback(i);
+        self.lock_way(i, block);
         Ok(evicted)
     }
 
-    /// Locks `n` ways in every set (marks them unavailable for normal
-    /// allocation), emulating repair occupancy the way the paper's
-    /// performance study does.
+    /// Locks the first `n` unlocked ways of every set (marks them
+    /// unavailable for normal allocation), emulating repair occupancy the
+    /// way the paper's performance study does.
     ///
     /// # Panics
     ///
     /// Panics if `n > ways`.
     pub fn lock_ways_per_set(&mut self, n: u32) {
         assert!(n <= self.cfg.ways, "cannot lock more ways than exist");
-        let sets = self.cfg.sets();
-        for set in 0..sets {
-            let mut locked = 0;
+        for set in 0..self.cfg.sets() {
+            let mut left = n;
             for i in self.set_slice(set) {
-                if locked >= n {
+                if left == 0 {
                     break;
                 }
-                if !self.lines[i].locked {
-                    self.lines[i] = Line {
-                        valid: true,
-                        dirty: false,
-                        locked: true,
-                        repair: true,
-                        block_addr: u64::MAX - i as u64, // placeholder tag
-                        lru: 0,
-                    };
-                    locked += 1;
+                if self.age[i] != LOCKED {
+                    self.lock_way(i, u64::MAX - i as u64); // placeholder tag
+                    left -= 1;
                 }
             }
         }
@@ -321,16 +326,9 @@ impl Cache {
         let mut locked = 0;
         for set in sets {
             let set = set % self.cfg.sets();
-            let slot = self.set_slice(set).find(|&i| !self.lines[i].locked);
+            let slot = self.set_slice(set).find(|&i| self.age[i] != LOCKED);
             if let Some(i) = slot {
-                self.lines[i] = Line {
-                    valid: true,
-                    dirty: false,
-                    locked: true,
-                    repair: true,
-                    block_addr: u64::MAX - i as u64,
-                    lru: 0,
-                };
+                self.lock_way(i, u64::MAX - i as u64);
                 locked += 1;
             }
         }
@@ -339,21 +337,22 @@ impl Cache {
 
     /// Number of locked ways in `set`.
     pub fn locked_ways_in_set(&self, set: u64) -> u32 {
-        self.set_slice(set)
-            .filter(|&i| self.lines[i].locked)
+        self.age[self.set_slice(set)]
+            .iter()
+            .filter(|&&a| a == LOCKED)
             .count() as u32
     }
 
     /// Total locked lines in the cache.
     pub fn total_locked(&self) -> u64 {
-        self.lines.iter().filter(|l| l.locked).count() as u64
+        self.age.iter().filter(|&&a| a == LOCKED).count() as u64
     }
 
     /// Unlocks and invalidates every locked line (repair teardown).
     pub fn unlock_all(&mut self) {
-        for line in &mut self.lines {
-            if line.locked {
-                *line = Line::default();
+        for a in &mut self.age {
+            if *a == LOCKED {
+                *a = 0;
             }
         }
     }
@@ -555,6 +554,110 @@ mod proptests {
         });
     }
 
+    /// One call of the public API, with its inputs.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Access(u64, bool),
+        Probe(u64),
+        ProbeRepair(u64),
+        LockRepairLine(u64),
+        LockWaysPerSet(u32),
+        LockLinesInSets(Vec<u64>),
+        UnlockAll,
+        ResetStats,
+    }
+
+    /// The two-word model and the reference model agree call by call:
+    /// every `Access` (with its `Evicted`), every `lock_repair_line`
+    /// result, every `probe`/`probe_repair` answer, the statistics and
+    /// the locked counts, under canonical and XOR-folded indexing, with
+    /// one-byte and 64-byte lines, one set or many. Addresses come from a
+    /// small pool (so lines hit, conflict and get evicted dirty) and from
+    /// the top of the address space, where one-byte blocks meet the empty
+    /// way's key and the placeholder tags of locked ways.
+    #[test]
+    fn matches_reference_model() {
+        prop::check(300, |src| {
+            let line_bytes = [64u32, 1][src.choice_index(2)];
+            let ways = 1u32 << src.u32(0, 4);
+            let sets = 1u64 << src.u32(0, 6);
+            let indexing = if src.bool() {
+                Indexing::XorFold {
+                    rotation: src.u32(0, 40),
+                }
+            } else {
+                Indexing::Canonical
+            };
+            let cfg = CacheConfig {
+                size_bytes: sets * ways as u64 * line_bytes as u64,
+                ways,
+                line_bytes,
+                indexing,
+            };
+            let pool = src.vec(1, 24, |s| s.u64(0, u64::MAX));
+            let addr = |s: &mut prop::Source| match s.weighted(&[8, 2, 1, 1]) {
+                0 => pool[s.choice_index(pool.len())],
+                1 => pool[s.choice_index(pool.len())] ^ s.u64(0, line_bytes as u64 - 1),
+                2 => u64::MAX - s.u64(0, 2 * sets * ways as u64),
+                _ => s.u64(0, u64::MAX),
+            };
+            let ops = src.vec(1, 400, |s| match s.weighted(&[24, 3, 3, 3, 1, 1, 1, 1]) {
+                0 => Op::Access(addr(s), s.bool()),
+                1 => Op::Probe(addr(s)),
+                2 => Op::ProbeRepair(addr(s)),
+                3 => Op::LockRepairLine(addr(s)),
+                4 => Op::LockWaysPerSet(s.u32(0, ways)),
+                5 => Op::LockLinesInSets(s.vec(0, 8, |s| s.u64(0, 4 * sets))),
+                6 => Op::UnlockAll,
+                _ => Op::ResetStats,
+            });
+            let mut fast = Cache::new(cfg);
+            let mut slow = reference::Cache::new(cfg);
+            for op in &ops {
+                match op {
+                    &Op::Access(a, w) => {
+                        prop_assert_eq!(cfg.set_and_tag(a), reference::set_and_tag(&cfg, a));
+                        prop_assert_eq!(fast.access(a, w), slow.access(a, w), "{:?}", op);
+                    }
+                    &Op::Probe(a) => prop_assert_eq!(fast.probe(a), slow.probe(a), "{:?}", op),
+                    &Op::ProbeRepair(a) => {
+                        prop_assert_eq!(fast.probe_repair(a), slow.probe_repair(a), "{:?}", op)
+                    }
+                    &Op::LockRepairLine(a) => prop_assert_eq!(
+                        fast.lock_repair_line(a),
+                        slow.lock_repair_line(a),
+                        "{:?}",
+                        op
+                    ),
+                    &Op::LockWaysPerSet(n) => {
+                        fast.lock_ways_per_set(n);
+                        slow.lock_ways_per_set(n);
+                    }
+                    Op::LockLinesInSets(v) => prop_assert_eq!(
+                        fast.lock_lines_in_sets(v.iter().copied()),
+                        slow.lock_lines_in_sets(v.iter().copied()),
+                        "{:?}",
+                        op
+                    ),
+                    Op::UnlockAll => {
+                        fast.unlock_all();
+                        slow.unlock_all();
+                    }
+                    Op::ResetStats => {
+                        fast.reset_stats();
+                        slow.reset_stats();
+                    }
+                }
+                prop_assert_eq!(fast.stats(), slow.stats(), "after {:?}", op);
+                prop_assert_eq!(fast.total_locked(), slow.total_locked(), "after {:?}", op);
+            }
+            for set in 0..sets {
+                prop_assert_eq!(fast.locked_ways_in_set(set), slow.locked_ways_in_set(set));
+            }
+            Ok(())
+        });
+    }
+
     /// LRU is a permutation policy: filling a set with exactly `ways`
     /// distinct blocks keeps them all resident.
     #[test]
@@ -577,5 +680,262 @@ mod proptests {
             }
             Ok(())
         });
+    }
+}
+
+/// The model `Cache` replaced — one 24-byte struct per way, a linear
+/// victim scan, and a set index that divides once per tag chunk — kept as
+/// the reference that `proptests::matches_reference_model` holds the
+/// two-word layout to.
+#[cfg(test)]
+mod reference {
+    use super::{Access, CacheStats, Evicted};
+    use crate::config::{CacheConfig, Indexing};
+    use relaxfault_util::bits::mask;
+
+    /// `(set, tag)` of `addr`; a one-set cache maps everything to set 0.
+    pub fn set_and_tag(cfg: &CacheConfig, addr: u64) -> (u64, u64) {
+        let block = addr >> cfg.offset_bits();
+        let sb = cfg.set_bits();
+        let index = block & mask(sb);
+        let tag = block >> sb;
+        let set = match cfg.indexing {
+            Indexing::XorFold { rotation } if sb > 0 => {
+                let mut set = index;
+                let mut rest = tag;
+                let mut chunk_no = 1u32;
+                while rest != 0 {
+                    let chunk = rest & mask(sb);
+                    set ^= rotl(chunk, (rotation * chunk_no) % sb, sb);
+                    rest >>= sb;
+                    chunk_no += 1;
+                }
+                set
+            }
+            _ => index,
+        };
+        (set, tag)
+    }
+
+    fn rotl(v: u64, by: u32, width: u32) -> u64 {
+        if by.is_multiple_of(width) {
+            return v & mask(width);
+        }
+        let by = by % width;
+        ((v << by) | (v >> (width - by))) & mask(width)
+    }
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Line {
+        valid: bool,
+        dirty: bool,
+        locked: bool,
+        repair: bool,
+        block_addr: u64,
+        lru: u64,
+    }
+
+    pub struct Cache {
+        cfg: CacheConfig,
+        lines: Vec<Line>,
+        stats: CacheStats,
+        tick: u64,
+    }
+
+    impl Cache {
+        pub fn new(cfg: CacheConfig) -> Self {
+            Self {
+                cfg,
+                lines: vec![Line::default(); cfg.total_lines() as usize],
+                stats: CacheStats::default(),
+                tick: 0,
+            }
+        }
+
+        pub fn stats(&self) -> &CacheStats {
+            &self.stats
+        }
+
+        pub fn reset_stats(&mut self) {
+            self.stats = CacheStats::default();
+        }
+
+        fn set_slice(&self, set: u64) -> std::ops::Range<usize> {
+            let base = set as usize * self.cfg.ways as usize;
+            base..base + self.cfg.ways as usize
+        }
+
+        fn next_tick(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
+
+        /// Invalid first, else LRU among unlocked.
+        fn victim(&self, set: u64) -> Option<usize> {
+            let mut victim: Option<usize> = None;
+            for i in self.set_slice(set) {
+                let line = &self.lines[i];
+                if line.locked {
+                    continue;
+                }
+                if !line.valid {
+                    return Some(i);
+                }
+                match victim {
+                    Some(v) if self.lines[v].lru <= line.lru => {}
+                    _ => victim = Some(i),
+                }
+            }
+            victim
+        }
+
+        fn writeback(&mut self, v: usize) -> Option<Evicted> {
+            let old = self.lines[v];
+            (old.valid && old.dirty).then(|| {
+                self.stats.writebacks += 1;
+                Evicted {
+                    addr: old.block_addr << self.cfg.offset_bits(),
+                    dirty: true,
+                }
+            })
+        }
+
+        pub fn access(&mut self, addr: u64, write: bool) -> Access {
+            let (set, _) = set_and_tag(&self.cfg, addr);
+            let block = addr >> self.cfg.offset_bits();
+            let tick = self.next_tick();
+            for i in self.set_slice(set) {
+                let line = &mut self.lines[i];
+                if line.valid && !line.repair && line.block_addr == block {
+                    line.lru = tick;
+                    line.dirty |= write;
+                    self.stats.hits += 1;
+                    return Access {
+                        hit: true,
+                        evicted: None,
+                        bypassed: false,
+                    };
+                }
+            }
+            self.stats.misses += 1;
+            let Some(v) = self.victim(set) else {
+                self.stats.bypasses += 1;
+                return Access {
+                    hit: false,
+                    evicted: None,
+                    bypassed: true,
+                };
+            };
+            let evicted = self.writeback(v);
+            self.lines[v] = Line {
+                valid: true,
+                dirty: write,
+                locked: false,
+                repair: false,
+                block_addr: block,
+                lru: tick,
+            };
+            Access {
+                hit: false,
+                evicted,
+                bypassed: false,
+            }
+        }
+
+        pub fn probe(&self, addr: u64) -> bool {
+            let (set, _) = set_and_tag(&self.cfg, addr);
+            let block = addr >> self.cfg.offset_bits();
+            self.set_slice(set).any(|i| {
+                let l = &self.lines[i];
+                l.valid && !l.repair && l.block_addr == block
+            })
+        }
+
+        pub fn probe_repair(&self, repair_addr: u64) -> bool {
+            let (set, _) = set_and_tag(&self.cfg, repair_addr);
+            let block = repair_addr >> self.cfg.offset_bits();
+            self.set_slice(set).any(|i| {
+                let l = &self.lines[i];
+                l.valid && l.repair && l.block_addr == block
+            })
+        }
+
+        pub fn lock_repair_line(&mut self, repair_addr: u64) -> Result<Option<Evicted>, String> {
+            if self.probe_repair(repair_addr) {
+                return Err(format!("repair line {repair_addr:#x} already locked"));
+            }
+            let (set, _) = set_and_tag(&self.cfg, repair_addr);
+            let block = repair_addr >> self.cfg.offset_bits();
+            let tick = self.next_tick();
+            let Some(v) = self.victim(set) else {
+                return Err(format!("set {set} fully locked"));
+            };
+            let evicted = self.writeback(v);
+            self.lines[v] = Line {
+                valid: true,
+                dirty: false,
+                locked: true,
+                repair: true,
+                block_addr: block,
+                lru: tick,
+            };
+            Ok(evicted)
+        }
+
+        fn lock_placeholder(&mut self, i: usize) {
+            self.lines[i] = Line {
+                valid: true,
+                dirty: false,
+                locked: true,
+                repair: true,
+                block_addr: u64::MAX - i as u64,
+                lru: 0,
+            };
+        }
+
+        pub fn lock_ways_per_set(&mut self, n: u32) {
+            for set in 0..self.cfg.sets() {
+                let mut locked = 0;
+                for i in self.set_slice(set) {
+                    if locked >= n {
+                        break;
+                    }
+                    if !self.lines[i].locked {
+                        self.lock_placeholder(i);
+                        locked += 1;
+                    }
+                }
+            }
+        }
+
+        pub fn lock_lines_in_sets<I: IntoIterator<Item = u64>>(&mut self, sets: I) -> u64 {
+            let mut locked = 0;
+            for set in sets {
+                let set = set % self.cfg.sets();
+                if let Some(i) = self.set_slice(set).find(|&i| !self.lines[i].locked) {
+                    self.lock_placeholder(i);
+                    locked += 1;
+                }
+            }
+            locked
+        }
+
+        pub fn locked_ways_in_set(&self, set: u64) -> u32 {
+            self.set_slice(set)
+                .filter(|&i| self.lines[i].locked)
+                .count() as u32
+        }
+
+        pub fn total_locked(&self) -> u64 {
+            self.lines.iter().filter(|l| l.locked).count() as u64
+        }
+
+        pub fn unlock_all(&mut self) {
+            for line in &mut self.lines {
+                if line.locked {
+                    *line = Line::default();
+                }
+            }
+        }
     }
 }

@@ -40,6 +40,7 @@ struct Channel {
 struct MemoryBackend {
     map: AddressMap,
     channels: Vec<Channel>,
+    ranks_per_dimm: u32,
     core_per_dram: u64,
     t_refi: u64,
 }
@@ -59,9 +60,15 @@ impl MemoryBackend {
         Self {
             map: AddressMap::nehalem_like(&cfg.dram, true),
             channels,
+            ranks_per_dimm: cfg.dram.ranks_per_dimm,
             core_per_dram: cfg.core_cycles_per_dram_cycle(),
             t_refi: cfg.timing.t_refi as u64,
         }
+    }
+
+    /// The channel-local slot of a rank: DIMM-major, one per (DIMM, rank).
+    fn rank_index(&self, dimm: u32, rank: u32) -> usize {
+        (dimm * self.ranks_per_dimm + rank) as usize
     }
 
     /// Performs one DRAM burst; returns the core cycle at which read data
@@ -69,8 +76,8 @@ impl MemoryBackend {
     /// caller ignores).
     fn access(&mut self, addr: u64, is_write: bool, now_core: u64) -> u64 {
         let (loc, _) = self.map.decode(PhysAddr(addr));
+        let rank_idx = self.rank_index(loc.dimm, loc.rank);
         let ch = &mut self.channels[loc.channel as usize];
-        let rank_idx = (loc.dimm + loc.rank) as usize % ch.ranks.len();
         let now = now_core / self.core_per_dram;
         // Account elapsed auto-refreshes for this rank (energy and bank
         // occupancy are folded into the refresh count; the coarse model is
@@ -128,6 +135,8 @@ impl MemoryBackend {
 struct CoreSim {
     name: String,
     stream: AddressStream,
+    /// `stream.gap_instructions()`, computed once.
+    gap_instructions: f64,
     rng: Rng64,
     l1: Cache,
     l2: Cache,
@@ -178,30 +187,41 @@ impl Simulation {
             .cores
             .iter()
             .enumerate()
-            .map(|(i, spec)| CoreSim {
-                name: spec.name.clone(),
-                stream: AddressStream::new(spec, i as u32, addr_space),
-                rng: Rng64::seed_from_u64(seed.wrapping_add(i as u64 * 0x9E37)),
-                l1: Cache::new(cfg.l1),
-                l2: Cache::new(cfg.l2),
-                cycle: 0.0,
-                instructions: 0.0,
-                target: cfg.instructions_per_core,
-                cycle_at_target: None,
-                window: VecDeque::new(),
+            .map(|(i, spec)| {
+                let stream = AddressStream::new(spec, i as u32, addr_space);
+                CoreSim {
+                    name: spec.name.clone(),
+                    gap_instructions: stream.gap_instructions(),
+                    stream,
+                    rng: Rng64::seed_from_u64(seed.wrapping_add(i as u64 * 0x9E37)),
+                    l1: Cache::new(cfg.l1),
+                    l2: Cache::new(cfg.l2),
+                    cycle: 0.0,
+                    instructions: 0.0,
+                    target: cfg.instructions_per_core,
+                    cycle_at_target: None,
+                    window: VecDeque::new(),
+                }
             })
             .collect();
 
-        while cores.iter().any(|c| c.cycle_at_target.is_none()) {
-            // Advance the core that is furthest behind in time, keeping the
-            // memory controller's arrival order roughly chronological.
-            let idx = cores
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.cycle.partial_cmp(&b.1.cycle).expect("finite cycles"))
-                .map(|(i, _)| i)
-                .expect("at least one core");
-            step_core(cfg, &mut cores[idx], &mut llc, &mut backend);
+        // Each core's clock, kept contiguous for the scan below, and the
+        // number of cores short of their target.
+        let mut clocks = vec![0.0f64; cores.len()];
+        let mut running = cores.len();
+        while running > 0 {
+            // Advance the core that is furthest behind in time (the lowest
+            // index on a tie), keeping the memory controller's arrival
+            // order roughly chronological.
+            let idx = furthest_behind(&clocks);
+            let core = &mut cores[idx];
+            let finished = core.cycle_at_target.is_some();
+            step_core(cfg, core, &mut llc, &mut backend);
+            assert!(!core.cycle.is_nan(), "finite cycles");
+            clocks[idx] = core.cycle;
+            if !finished && core.cycle_at_target.is_some() {
+                running -= 1;
+            }
         }
 
         let per_core: Vec<CoreStats> = cores
@@ -227,6 +247,17 @@ impl Simulation {
         record_run(cfg, workload, locked_lines, seed, &result);
         result
     }
+}
+
+/// The index of the smallest clock, the lowest one on a tie.
+fn furthest_behind(clocks: &[f64]) -> usize {
+    let (mut idx, mut min) = (0, clocks[0]);
+    for (i, &c) in clocks.iter().enumerate().skip(1) {
+        if c < min {
+            (idx, min) = (i, c);
+        }
+    }
+    idx
 }
 
 /// Publishes one finished simulation's LLC and DRAM telemetry.
@@ -259,9 +290,9 @@ fn step_core(cfg: &SimConfig, core: &mut CoreSim, llc: &mut Cache, backend: &mut
     let addr_space = cfg.dram.node_bytes();
     // Compute phase: instructions until the next memory op (exponential
     // gap around the spec's memory ratio).
-    let gap = if core.stream.gap_instructions().is_finite() {
+    let gap = if core.gap_instructions.is_finite() {
         let u: f64 = core.rng.gen::<f64>().max(1e-12);
-        -u.ln() * core.stream.gap_instructions()
+        -u.ln() * core.gap_instructions
     } else {
         1e9
     };
@@ -383,6 +414,27 @@ mod tests {
             instructions_per_core: 30_000,
             ..SimConfig::isca16()
         }
+    }
+
+    /// Every (DIMM, rank) of a channel gets its own timing state: with
+    /// two DIMMs of two ranks each, the four ranks take four slots.
+    #[test]
+    fn rank_index_is_a_bijection() {
+        let mut cfg = SimConfig::isca16();
+        cfg.dram.dimms_per_channel = 2;
+        cfg.dram.ranks_per_dimm = 2;
+        cfg.validate().unwrap();
+        let backend = MemoryBackend::new(&cfg);
+        let slots = backend.channels[0].ranks.len();
+        let mut seen = vec![false; slots];
+        for dimm in 0..cfg.dram.dimms_per_channel {
+            for rank in 0..cfg.dram.ranks_per_dimm {
+                let i = backend.rank_index(dimm, rank);
+                assert!(i < slots && !seen[i], "({dimm}, {rank}) -> {i}");
+                seen[i] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -276,11 +276,15 @@ mod tests {
         // Scoped env override: this test owns obs::exclusive, and no other
         // test writes artifacts concurrently.
         std::env::set_var("RF_RESULTS_DIR", dir.display().to_string());
+        // The hook is process-wide: put the harness's own hook back
+        // afterwards, so that later panics in this binary write no dumps.
+        let harness_hook = std::panic::take_hook();
         install_panic_hook("hooktest");
         let joined = std::thread::Builder::new()
             .spawn(|| panic!("deliberate test panic"))
             .expect("spawn panicking thread")
             .join();
+        std::panic::set_hook(harness_hook);
         std::env::remove_var("RF_RESULTS_DIR");
         assert!(joined.is_err(), "thread must have panicked");
         let path = dir.join("obs/hooktest.crashdump.json");

@@ -94,6 +94,23 @@ if ! cmp -s results/ci/thread_matrix_fresh.json results/ci/thread_matrix_verdict
     exit 7
 fi
 
+# Figs 15/16 gate: the cycle simulator at paper scale must reproduce the
+# committed tables byte for byte. fig15_performance runs at its default
+# 300,000 instructions per core (about 4.5 s on one thread) into
+# results/ci/fig15/, and each of its six files must equal the one under
+# results/. A change meant to move these figures commits the new files
+# and says why. The first file that differs is named; any failure exits 5.
+rm -rf results/ci/fig15
+RF_RESULTS_DIR=results/ci/fig15 cargo run --release -q -p relaxfault-bench \
+    --bin fig15_performance -- --quiet > /dev/null \
+    || { echo "fig15 gate: fig15_performance failed" >&2; exit 5; }
+for f in fig15_performance fig16_power; do
+    for ext in txt csv json; do
+        cmp -s "results/$f.$ext" "results/ci/fig15/$f.$ext" \
+            || { echo "fig15 gate: results/ci/fig15/$f.$ext differs from results/$f.$ext" >&2; exit 5; }
+    done
+done
+
 # Fleet checkpoint/resume determinism gate: a 1M-node fleet over 20
 # epochs runs to completion once; it must leave a progress document
 # reporting completion with a forecast section, and a snapshot recording
